@@ -46,6 +46,16 @@ const EuclideanMetric& EuclideanMetric::instance() {
   return metric;
 }
 
+void EuclideanMetric::distances_from(geometry::Point2 a,
+                                     std::span<const geometry::Point2> targets,
+                                     std::span<double> out) const {
+  support::require(out.size() == targets.size(),
+                   "distances_from output span size mismatch");
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    out[i] = geometry::distance(a, targets[i]);
+  }
+}
+
 std::size_t GraphMetric::PointKeyHash::operator()(const PointKey& k) const {
   // splitmix-style mix of the two coordinate bit patterns.
   std::uint64_t h = k.x_bits + 0x9e3779b97f4a7c15ULL;
@@ -108,7 +118,11 @@ GraphMetric::GraphMetric(WaypointGraph graph, GraphMetricOptions options)
 }
 
 bool GraphMetric::line_of_sight(geometry::Point2 a, geometry::Point2 b) const {
-  const geometry::Segment sight{a, b};
+  // Orientation tests round differently for a-b and b-a; testing the
+  // lexicographically ordered segment makes the metric exactly symmetric.
+  const bool swap = b.x < a.x || (b.x == a.x && b.y < a.y);
+  const geometry::Segment sight = swap ? geometry::Segment{b, a}
+                                       : geometry::Segment{a, b};
   for (const auto& wall : graph_.obstacles) {
     if (geometry::segments_intersect(sight, wall)) return false;
   }

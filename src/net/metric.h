@@ -100,6 +100,11 @@ class EuclideanMetric final : public MetricSpace {
   double distance(geometry::Point2 a, geometry::Point2 b) const override {
     return geometry::distance(a, b);
   }
+  // One virtual call per batch rather than per target, so a distance
+  // table filled through this object costs what the null path costs.
+  void distances_from(geometry::Point2 a,
+                      std::span<const geometry::Point2> targets,
+                      std::span<double> out) const override;
 };
 
 // The repo-wide convention: a null metric is Euclidean. This helper is
@@ -163,7 +168,9 @@ class GraphMetric final : public MetricSpace {
   const WaypointGraph& graph() const { return graph_; }
   std::size_t node_count() const { return graph_.nodes.size(); }
 
-  // True when no obstacle segment crosses the closed segment a-b.
+  // True when no obstacle segment crosses the closed segment a-b. The
+  // sight line is tested in a canonical direction, so (a, b) and (b, a)
+  // take the identical FP path and the answer is exactly symmetric.
   bool line_of_sight(geometry::Point2 a, geometry::Point2 b) const;
 
   // Shortest-path distance between waypoint nodes (memoized). Returns

@@ -98,7 +98,14 @@ ChargingPlan plan_bc_opt(const net::Deployment& deployment,
                     3.0 * reach - model.beta() - g.sed_radius);
   };
 
+  // Don't-look bits. A stop's evaluation is a pure function of its own
+  // position and its two tour neighbours' (the stop order, the depot and
+  // the homes are fixed here), so a stop that stayed put is parked until
+  // it or a neighbour moves: re-evaluating it could only repeat "stay".
+  // Parked stops still charge the meter, so a node cap trips where it
+  // would without the bits and every plan is unchanged.
   const std::size_t n = plan.stops.size();
+  std::vector<char> awake(n, 1);
   for (std::size_t round = 0; round < config.opt.max_rounds; ++round) {
     bool improved = false;
     bool tripped = false;
@@ -109,6 +116,8 @@ ChargingPlan plan_bc_opt(const net::Deployment& deployment,
         tripped = true;
         break;
       }
+      if (awake[i] == 0) continue;
+      awake[i] = 0;
       const Point2 prev = i == 0 ? plan.depot : plan.stops[i - 1].position;
       const Point2 next =
           i + 1 == n ? plan.depot : plan.stops[i + 1].position;
@@ -172,6 +181,9 @@ ChargingPlan plan_bc_opt(const net::Deployment& deployment,
       if (moved) {
         plan.stops[i].position = best_position;
         improved = true;
+        awake[i] = 1;
+        if (i > 0) awake[i - 1] = 1;
+        if (i + 1 < n) awake[i + 1] = 1;
       }
     }
     if (tripped || !improved) break;

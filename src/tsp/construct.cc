@@ -11,9 +11,9 @@ namespace bc::tsp {
 
 using geometry::Point2;
 
-Tour nearest_neighbor_tour(std::span<const Point2> points,
-                           std::uint32_t start,
-                           const net::MetricSpace* metric) {
+Tour nearest_neighbor_tour(const DistanceTable& table, std::uint32_t start) {
+  const std::span<const Point2> points = table.points();
+  const net::MetricSpace* metric = table.metric();
   support::require(!points.empty(), "nearest_neighbor_tour needs points");
   support::require(start < points.size(), "start index out of range");
   const std::size_t n = points.size();
@@ -33,7 +33,7 @@ Tour nearest_neighbor_tour(std::span<const Point2> points,
       const double d2 =
           metric == nullptr
               ? geometry::distance_squared(points[current], points[candidate])
-              : metric->distance(points[current], points[candidate]);
+              : table(current, candidate);
       if (d2 < best_d2) {
         best_d2 = d2;
         best = candidate;
@@ -46,43 +46,60 @@ Tour nearest_neighbor_tour(std::span<const Point2> points,
   return order;
 }
 
-Tour greedy_edge_tour(std::span<const Point2> points,
-                      const net::MetricSpace* metric) {
+Tour greedy_edge_tour(const DistanceTable& table) {
+  const std::span<const Point2> points = table.points();
+  const net::MetricSpace* metric = table.metric();
   support::require(!points.empty(), "greedy_edge_tour needs points");
   const std::size_t n = points.size();
   if (n == 1) return Tour{0};
   if (n == 2) return Tour{0, 1};
 
+  // Each edge carries a float copy of its sort key: 8 bytes an edge rather
+  // than 16, so beside the solve's distance table the array takes about
+  // what it took alone when it stored exact keys. Rounding to float is
+  // monotone, so edges whose float keys differ order as their exact keys
+  // do, and float ties compare the exact keys, read again: every
+  // comparison the sorts make keeps its outcome.
+  support::require(n <= std::size_t{1} << 16,
+                   "greedy_edge_tour: too many points");
   struct Edge {
-    double d2;
-    std::uint32_t a;
-    std::uint32_t b;
+    float key;
+    std::uint16_t a;
+    std::uint16_t b;
+  };
+  // Squared distances sort identically to distances under Euclid and skip
+  // the sqrt; a real metric needs the true movement distance.
+  const auto exact_key = [&](const Edge& e) {
+    return metric == nullptr
+               ? geometry::distance_squared(points[e.a], points[e.b])
+               : table(e.a, e.b);
   };
   std::vector<Edge> edges;
   edges.reserve(n * (n - 1) / 2);
   for (std::uint32_t i = 0; i < n; ++i) {
     for (std::uint32_t j = i + 1; j < n; ++j) {
-      // Squared distances sort identically to distances under Euclid and
-      // skip the sqrt; a real metric needs the true movement distance.
-      const double key =
-          metric == nullptr
-              ? geometry::distance_squared(points[i], points[j])
-              : metric->distance(points[i], points[j]);
-      edges.push_back({key, i, j});
+      Edge e{0.0f, static_cast<std::uint16_t>(i),
+             static_cast<std::uint16_t>(j)};
+      e.key = static_cast<float>(exact_key(e));
+      edges.push_back(e);
     }
   }
+  const auto key_less = [&](const Edge& x, const Edge& y) {
+    if (x.key < y.key) return true;
+    if (y.key < x.key) return false;
+    return exact_key(x) < exact_key(y);
+  };
   if (metric == nullptr) {
-    std::sort(edges.begin(), edges.end(),
-              [](const Edge& x, const Edge& y) { return x.d2 < y.d2; });
+    std::sort(edges.begin(), edges.end(), key_less);
   } else {
     // Graph distances tie often (shared shortest paths); break ties by
     // endpoint ids so the greedy order is deterministic.
-    std::sort(edges.begin(), edges.end(),
-              [](const Edge& x, const Edge& y) {
-                if (x.d2 != y.d2) return x.d2 < y.d2;
-                if (x.a != y.a) return x.a < y.a;
-                return x.b < y.b;
-              });
+    std::sort(edges.begin(), edges.end(), [&](const Edge& x, const Edge& y) {
+      if (key_less(x, y)) return true;
+      if (key_less(y, x)) return false;
+      if (x.a != y.a) return x.a < y.a;
+      return x.b < y.b;
+    });
   }
 
   // Union-find to reject premature subcycles; degree counters to keep the
@@ -130,6 +147,19 @@ Tour greedy_edge_tour(std::span<const Point2> points,
   }
   support::ensure(is_valid_tour(order, n), "greedy edge walk must be a tour");
   return order;
+}
+
+Tour nearest_neighbor_tour(std::span<const Point2> points,
+                           std::uint32_t start,
+                           const net::MetricSpace* metric) {
+  return nearest_neighbor_tour(
+      DistanceTable(points, metric, DistanceTable::Storage::kOnDemand), start);
+}
+
+Tour greedy_edge_tour(std::span<const Point2> points,
+                      const net::MetricSpace* metric) {
+  return greedy_edge_tour(
+      DistanceTable(points, metric, DistanceTable::Storage::kOnDemand));
 }
 
 }  // namespace bc::tsp

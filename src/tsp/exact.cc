@@ -13,21 +13,13 @@ namespace {
 
 // Shared DP core; a null meter runs unmetered. Returns nullopt only when
 // the meter trips (one charge per subset `mask`).
-std::optional<Tour> held_karp_impl(std::span<const Point2> points,
-                                   support::BudgetMeter* meter,
-                                   const net::MetricSpace* metric) {
-  const std::size_t n = points.size();
+std::optional<Tour> held_karp_impl(const DistanceTable& dist,
+                                   support::BudgetMeter* meter) {
+  const std::size_t n = dist.size();
   support::require(n >= 1, "held_karp_tour needs points");
   support::require(n <= kHeldKarpLimit, "held_karp_tour instance too large");
   if (n == 1) return Tour{0};
   if (n == 2) return Tour{0, 1};
-
-  std::vector<double> dist(n * n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      dist[i * n + j] = net::metric_distance(metric, points[i], points[j]);
-    }
-  }
 
   // dp[mask][v]: shortest path starting at 0, visiting exactly the set
   // `mask` (which contains 0 and v), ending at v.
@@ -41,17 +33,17 @@ std::optional<Tour> held_karp_impl(std::span<const Point2> points,
   for (std::size_t mask = 1; mask < full; ++mask) {
     if ((mask & 1) == 0) continue;  // paths always include the start 0
     if (meter != nullptr && !meter->charge()) return std::nullopt;
-    for (std::size_t v = 0; v < n; ++v) {
+    for (std::uint32_t v = 0; v < n; ++v) {
       if ((mask & (std::size_t{1} << v)) == 0) continue;
       const double here = dp[mask * n + v];
       if (here == kInf) continue;
-      for (std::size_t w = 0; w < n; ++w) {
+      for (std::uint32_t w = 0; w < n; ++w) {
         if (mask & (std::size_t{1} << w)) continue;
         const std::size_t next_mask = mask | (std::size_t{1} << w);
-        const double candidate = here + dist[v * n + w];
+        const double candidate = here + dist(v, w);
         if (candidate < dp[next_mask * n + w]) {
           dp[next_mask * n + w] = candidate;
-          parent[next_mask * n + w] = static_cast<std::uint32_t>(v);
+          parent[next_mask * n + w] = v;
         }
       }
     }
@@ -61,8 +53,8 @@ std::optional<Tour> held_karp_impl(std::span<const Point2> points,
   const std::size_t all = full - 1;
   double best = kInf;
   std::size_t best_end = 0;
-  for (std::size_t v = 1; v < n; ++v) {
-    const double candidate = dp[all * n + v] + dist[v * n + 0];
+  for (std::uint32_t v = 1; v < n; ++v) {
+    const double candidate = dp[all * n + v] + dist(v, 0);
     if (candidate < best) {
       best = candidate;
       best_end = v;
@@ -87,17 +79,20 @@ std::optional<Tour> held_karp_impl(std::span<const Point2> points,
 
 }  // namespace
 
-Tour held_karp_tour(std::span<const Point2> points,
-                    const net::MetricSpace* metric) {
-  auto tour = held_karp_impl(points, nullptr, metric);
+Tour held_karp_tour(const DistanceTable& table) {
+  auto tour = held_karp_impl(table, nullptr);
   support::ensure(tour.has_value(), "unmetered held_karp cannot trip");
   return std::move(*tour);
 }
 
-std::optional<Tour> held_karp_tour_budgeted(std::span<const Point2> points,
-                                            support::BudgetMeter& meter,
-                                            const net::MetricSpace* metric) {
-  return held_karp_impl(points, &meter, metric);
+std::optional<Tour> held_karp_tour_budgeted(const DistanceTable& table,
+                                            support::BudgetMeter& meter) {
+  return held_karp_impl(table, &meter);
+}
+
+Tour held_karp_tour(std::span<const Point2> points,
+                    const net::MetricSpace* metric) {
+  return held_karp_tour(DistanceTable(points, metric));
 }
 
 }  // namespace bc::tsp

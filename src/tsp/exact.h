@@ -11,6 +11,7 @@
 #include <span>
 
 #include "support/deadline.h"
+#include "tsp/distance_table.h"
 #include "tsp/tour.h"
 
 namespace bc::tsp {
@@ -18,18 +19,20 @@ namespace bc::tsp {
 // Largest instance held_karp_tour accepts.
 inline constexpr std::size_t kHeldKarpLimit = 18;
 
-// Optimal closed tour. Preconditions: 1 <= points.size() <= kHeldKarpLimit.
-// A null metric is Euclidean; otherwise the DP runs over the metric's
-// distance matrix (optimal for that metric).
-Tour held_karp_tour(std::span<const geometry::Point2> points,
-                    const net::MetricSpace* metric = nullptr);
+// Optimal closed tour under the table's distances. Preconditions:
+// 1 <= table.size() <= kHeldKarpLimit.
+Tour held_karp_tour(const DistanceTable& table);
 
 // Budgeted variant: charges `meter` one unit per DP subset processed and
 // returns nullopt when the budget trips mid-table (Held-Karp has no
 // incumbent to fall back on — callers degrade to a heuristic tour).
-std::optional<Tour> held_karp_tour_budgeted(
-    std::span<const geometry::Point2> points, support::BudgetMeter& meter,
-    const net::MetricSpace* metric = nullptr);
+std::optional<Tour> held_karp_tour_budgeted(const DistanceTable& table,
+                                            support::BudgetMeter& meter);
+
+// Point-set form: the DP over a table of `metric` distances (null =
+// Euclidean), optimal for that metric.
+Tour held_karp_tour(std::span<const geometry::Point2> points,
+                    const net::MetricSpace* metric = nullptr);
 
 }  // namespace bc::tsp
 

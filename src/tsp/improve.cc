@@ -16,12 +16,6 @@ using geometry::Point2;
 
 namespace {
 
-double edge(const net::MetricSpace* metric,
-            const std::span<const Point2>& points, std::uint32_t a,
-            std::uint32_t b) {
-  return net::metric_distance(metric, points[a], points[b]);
-}
-
 // Shared state of the neighbour-list improvers. Cities are renumbered into
 // a dense local id space (local id = initial tour position) so neighbour
 // lists, positions, and don't-look bits are flat arrays; `order` maps tour
@@ -29,17 +23,20 @@ double edge(const net::MetricSpace* metric,
 // moves. The fast phase only proposes moves towards each city's k nearest
 // cities and parks converged cities behind don't-look bits; completeness
 // is restored by a full-scan certification sweep at convergence, so a
-// returned tour is always a full-neighbourhood local optimum.
+// returned tour is always a full-neighbourhood local optimum. Every gain
+// is read from the distance table, by original city id.
 class NeighborSearch {
  public:
-  NeighborSearch(std::span<const Point2> points, const Tour& tour,
+  NeighborSearch(const DistanceTable& table, const Tour& tour,
                  const ImproveOptions& options)
       : n_(tour.size()),
         min_gain_(options.min_gain),
-        metric_(options.metric),
+        table_(table),
         cities_(tour.begin(), tour.end()) {
     pts_.reserve(n_);
-    for (const std::uint32_t city : cities_) pts_.push_back(points[city]);
+    for (const std::uint32_t city : cities_) {
+      pts_.push_back(table.points()[city]);
+    }
     k_ = options.neighbors == 0 ? n_ - 1 : std::min(options.neighbors, n_ - 1);
     build_neighbor_lists();
     order_.resize(n_);
@@ -192,11 +189,11 @@ class NeighborSearch {
   }
 
  private:
-  // Gain evaluation distance. The null branch is the bit-exact Euclidean
-  // fast path (see net/metric.h); neighbour lists stay Euclidean-built
-  // either way, which only shapes which moves get *proposed*.
+  // Gain evaluation distance, from the table. Neighbour lists stay
+  // Euclidean-built whatever the metric, which only shapes which moves
+  // get *proposed*.
   double dist(std::uint32_t a, std::uint32_t b) const {
-    return net::metric_distance(metric_, pts_[a], pts_[b]);
+    return table_(cities_[a], cities_[b]);
   }
   std::size_t succ(std::size_t p) const { return p + 1 == n_ ? 0 : p + 1; }
   std::size_t pred(std::size_t p) const { return p == 0 ? n_ - 1 : p - 1; }
@@ -328,7 +325,7 @@ class NeighborSearch {
   std::size_t n_;
   std::size_t k_ = 0;
   double min_gain_;
-  const net::MetricSpace* metric_ = nullptr;
+  const DistanceTable& table_;
   double gain_sum_ = 0.0;
   std::uint64_t moves_ = 0;
   std::uint64_t dont_look_resets_ = 0;
@@ -342,22 +339,31 @@ class NeighborSearch {
   std::vector<std::uint32_t> scratch_;
 };
 
+// The table the point-set entry points build: the tour's points (a prefix
+// of `points`) under options.metric.
+DistanceTable tour_table(std::span<const Point2> points, const Tour& order,
+                         const ImproveOptions& options) {
+  support::require(order.size() <= points.size(),
+                   "the tour needs a point per city");
+  return DistanceTable(points.first(order.size()), options.metric);
+}
+
 // Improving-move gains in metres. The buckets span the range seen across
 // the paper's deployment scales (fields up to ~1 km across).
 constexpr double kGainBounds[] = {1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0};
 
 }  // namespace
 
-double two_opt(std::span<const Point2> points, Tour& order,
+double two_opt(const DistanceTable& table, Tour& order,
                const ImproveOptions& options, support::BudgetMeter* meter) {
   support::require(is_valid_tour(order, order.size()) &&
-                       order.size() <= points.size(),
+                       order.size() <= table.size(),
                    "two_opt needs a valid tour");
   const std::size_t n = order.size();
   if (n < 4) return 0.0;
   obs::TraceSpan span("tsp.two_opt");
   span.attr("n", static_cast<std::int64_t>(n));
-  NeighborSearch search(points, order, options);
+  NeighborSearch search(table, order, options);
   std::uint64_t passes = 0;
   std::uint64_t certify_sweeps = 0;
   for (std::size_t pass = 0; pass < options.max_passes; ++pass) {
@@ -402,16 +408,16 @@ double two_opt(std::span<const Point2> points, Tour& order,
   return search.gain_sum();
 }
 
-double or_opt(std::span<const Point2> points, Tour& order,
+double or_opt(const DistanceTable& table, Tour& order,
               const ImproveOptions& options, support::BudgetMeter* meter) {
   support::require(is_valid_tour(order, order.size()) &&
-                       order.size() <= points.size(),
+                       order.size() <= table.size(),
                    "or_opt needs a valid tour");
   const std::size_t n = order.size();
   if (n < 5) return 0.0;
   obs::TraceSpan span("tsp.or_opt");
   span.attr("n", static_cast<std::int64_t>(n));
-  NeighborSearch search(points, order, options);
+  NeighborSearch search(table, order, options);
   std::uint64_t passes = 0;
   std::uint64_t certify_sweeps = 0;
   for (std::size_t pass = 0; pass < options.max_passes; ++pass) {
@@ -454,146 +460,36 @@ double or_opt(std::span<const Point2> points, Tour& order,
   return search.gain_sum();
 }
 
-double improve_tour(std::span<const Point2> points, Tour& order,
+double improve_tour(const DistanceTable& table, Tour& order,
                     const ImproveOptions& options,
                     support::BudgetMeter* meter) {
   double total_gain = 0.0;
   for (std::size_t round = 0; round < options.max_passes; ++round) {
     if (meter != nullptr && meter->exhausted()) break;
-    const double gain = two_opt(points, order, options, meter) +
-                        or_opt(points, order, options, meter);
+    const double gain = two_opt(table, order, options, meter) +
+                        or_opt(table, order, options, meter);
     total_gain += gain;
     if (gain <= options.min_gain) break;
   }
   return total_gain;
 }
 
-double two_opt_reference(std::span<const Point2> points, Tour& order,
-                         const ImproveOptions& options,
-                         support::BudgetMeter* meter) {
-  support::require(is_valid_tour(order, order.size()) &&
-                       order.size() <= points.size(),
-                   "two_opt needs a valid tour");
-  const std::size_t n = order.size();
-  if (n < 4) return 0.0;
-  double total_gain = 0.0;
-  std::uint64_t moves = 0;
-  for (std::size_t pass = 0; pass < options.max_passes; ++pass) {
-    if (meter != nullptr && !meter->charge()) break;
-    bool improved = false;
-    // Reversing order[i+1..j] replaces edges (i,i+1) and (j,j+1) with
-    // (i,j) and (i+1,j+1).
-    for (std::size_t i = 0; i + 2 < n; ++i) {
-      const std::uint32_t a = order[i];
-      const std::uint32_t b = order[i + 1];
-      const double d_ab = edge(options.metric, points, a, b);
-      for (std::size_t j = i + 2; j < n; ++j) {
-        if (i == 0 && j + 1 == n) continue;  // same edge pair
-        const std::uint32_t c = order[j];
-        const std::uint32_t d = order[(j + 1) % n];
-        const double gain = d_ab + edge(options.metric, points, c, d) -
-                            edge(options.metric, points, a, c) -
-                            edge(options.metric, points, b, d);
-        if (gain > options.min_gain) {
-          std::reverse(order.begin() + static_cast<std::ptrdiff_t>(i) + 1,
-                       order.begin() + static_cast<std::ptrdiff_t>(j) + 1);
-          total_gain += gain;
-          ++moves;
-          improved = true;
-          break;  // edge (i, i+1) changed; restart the inner scan
-        }
-      }
-    }
-    if (!improved) break;
-  }
-  {
-    static const obs::Counter calls("tsp.two_opt_reference.calls");
-    static const obs::Counter move_count("tsp.two_opt_reference.moves");
-    calls.add();
-    move_count.add(moves);
-  }
-  return total_gain;
+double two_opt(std::span<const Point2> points, Tour& order,
+               const ImproveOptions& options, support::BudgetMeter* meter) {
+  return two_opt(tour_table(points, order, options), order, options, meter);
 }
 
-double or_opt_reference(std::span<const Point2> points, Tour& order,
-                        const ImproveOptions& options,
-                        support::BudgetMeter* meter) {
-  support::require(is_valid_tour(order, order.size()) &&
-                       order.size() <= points.size(),
-                   "or_opt needs a valid tour");
-  const std::size_t n = order.size();
-  if (n < 5) return 0.0;
-  double total_gain = 0.0;
-  std::uint64_t moves = 0;
-  for (std::size_t pass = 0; pass < options.max_passes; ++pass) {
-    if (meter != nullptr && !meter->charge()) break;
-    bool improved = false;
-    for (std::size_t chain = 1; chain <= 3 && chain + 2 <= n; ++chain) {
-      for (std::size_t i = 0; i + chain < n && !improved; ++i) {
-        // Chain = order[i+1 .. i+chain]; removing it joins prev and next.
-        const std::uint32_t prev = order[i];
-        const std::uint32_t first = order[i + 1];
-        const std::uint32_t last = order[i + chain];
-        const std::uint32_t next = order[(i + chain + 1) % n];
-        if (next == prev) continue;
-        const double removed = edge(options.metric, points, prev, first) +
-                               edge(options.metric, points, last, next) -
-                               edge(options.metric, points, prev, next);
-        // Try to reinsert between every other edge (j, j+1).
-        for (std::size_t j = 0; j < n; ++j) {
-          // Skip positions overlapping the chain or its former slot.
-          if (j >= i && j <= i + chain) continue;
-          const std::uint32_t u = order[j];
-          const std::uint32_t v = order[(j + 1) % n];
-          if (u == prev && v == next) continue;
-          const double added_fwd = edge(options.metric, points, u, first) +
-                                   edge(options.metric, points, last, v) -
-                                   edge(options.metric, points, u, v);
-          const double added_rev = edge(options.metric, points, u, last) +
-                                   edge(options.metric, points, first, v) -
-                                   edge(options.metric, points, u, v);
-          const bool reversed = added_rev < added_fwd;
-          const double added = reversed ? added_rev : added_fwd;
-          const double gain = removed - added;
-          if (gain > options.min_gain) {
-            // Materialise the move on a copy of the order.
-            Tour moved;
-            moved.reserve(n);
-            std::vector<std::uint32_t> chain_nodes(
-                order.begin() + static_cast<std::ptrdiff_t>(i) + 1,
-                order.begin() + static_cast<std::ptrdiff_t>(i + chain) + 1);
-            if (reversed) std::reverse(chain_nodes.begin(), chain_nodes.end());
-            for (std::size_t k = 0; k < n; ++k) {
-              if (k > i && k <= i + chain) continue;  // skip the old chain
-              moved.push_back(order[k]);
-              if (order[k] == u) {
-                // Insert after u only if v really follows u once the chain
-                // is deleted; with the skips above this always holds.
-                moved.insert(moved.end(), chain_nodes.begin(),
-                             chain_nodes.end());
-              }
-            }
-            support::ensure(is_valid_tour(moved, n),
-                            "or_opt move must preserve the tour");
-            order = std::move(moved);
-            total_gain += gain;
-            ++moves;
-            improved = true;
-            break;
-          }
-        }
-      }
-      if (improved) break;
-    }
-    if (!improved) break;
-  }
-  {
-    static const obs::Counter calls("tsp.or_opt_reference.calls");
-    static const obs::Counter move_count("tsp.or_opt_reference.moves");
-    calls.add();
-    move_count.add(moves);
-  }
-  return total_gain;
+double or_opt(std::span<const Point2> points, Tour& order,
+              const ImproveOptions& options, support::BudgetMeter* meter) {
+  return or_opt(tour_table(points, order, options), order, options, meter);
 }
+
+double improve_tour(std::span<const Point2> points, Tour& order,
+                    const ImproveOptions& options,
+                    support::BudgetMeter* meter) {
+  return improve_tour(tour_table(points, order, options), order, options,
+                      meter);
+}
+
 
 }  // namespace bc::tsp

@@ -12,6 +12,7 @@
 #include <span>
 
 #include "support/deadline.h"
+#include "tsp/distance_table.h"
 #include "tsp/tour.h"
 
 namespace bc::tsp {
@@ -35,42 +36,47 @@ struct ImproveOptions {
   // certification sweep over tens of thousands of stops would dwarf the
   // entire solve.
   bool certify = true;
-  // Movement metric for gain evaluation; null = Euclidean (bit-exact
-  // pre-metric path). Neighbour candidate lists are still built from
-  // Euclidean proximity — a heuristic move proposal — but every accepted
-  // move and the certification sweep are judged under this metric, so
-  // the result is a genuine local optimum of the *metric* tour length.
+  // Movement metric; null = Euclidean (bit-exact pre-metric path). It is
+  // only the fill source of the distance table the point-set entry points
+  // (and solve_tsp) build; the table forms below ignore it. Neighbour
+  // candidate lists are still built from Euclidean proximity — a heuristic
+  // move proposal — but every accepted move and the certification sweep
+  // are judged on table distances, so the result is a genuine local
+  // optimum of the *metric* tour length.
   const net::MetricSpace* metric = nullptr;
 };
 
 // First-improvement 2-opt until no move helps. Returns total gain (length
-// reduction, >= 0). `order` must be a valid tour over `points`.
+// reduction, >= 0). `order` must be a valid tour over the table's first
+// order.size() points; every distance is read from `table`.
 // All three improvers are anytime by construction: the tour is valid after
 // every accepted move, so a non-null `meter` (charged one unit per pass)
 // simply stops the search at the next pass boundary when it trips.
-double two_opt(std::span<const geometry::Point2> points, Tour& order,
+double two_opt(const DistanceTable& table, Tour& order,
                const ImproveOptions& options = ImproveOptions{},
                support::BudgetMeter* meter = nullptr);
 
 // Or-opt: tries moving chains of length 1..3 between all other edges.
-double or_opt(std::span<const geometry::Point2> points, Tour& order,
+double or_opt(const DistanceTable& table, Tour& order,
               const ImproveOptions& options = ImproveOptions{},
               support::BudgetMeter* meter = nullptr);
 
 // Alternates 2-opt and Or-opt until neither improves.
-double improve_tour(std::span<const geometry::Point2> points, Tour& order,
+double improve_tour(const DistanceTable& table, Tour& order,
                     const ImproveOptions& options = ImproveOptions{},
                     support::BudgetMeter* meter = nullptr);
 
-// Reference implementations: the original naive full-scan first-improvement
-// bodies, kept verbatim as the differential-testing oracle for the
-// neighbour-list versions above. `options.neighbors` is ignored.
-double two_opt_reference(std::span<const geometry::Point2> points, Tour& order,
-                         const ImproveOptions& options = ImproveOptions{},
-                         support::BudgetMeter* meter = nullptr);
-double or_opt_reference(std::span<const geometry::Point2> points, Tour& order,
-                        const ImproveOptions& options = ImproveOptions{},
-                        support::BudgetMeter* meter = nullptr);
+// Point-set forms: build one table over the tour's points (the first
+// order.size() of `points`) from options.metric, then run the table form.
+double two_opt(std::span<const geometry::Point2> points, Tour& order,
+               const ImproveOptions& options = ImproveOptions{},
+               support::BudgetMeter* meter = nullptr);
+double or_opt(std::span<const geometry::Point2> points, Tour& order,
+              const ImproveOptions& options = ImproveOptions{},
+              support::BudgetMeter* meter = nullptr);
+double improve_tour(std::span<const geometry::Point2> points, Tour& order,
+                    const ImproveOptions& options = ImproveOptions{},
+                    support::BudgetMeter* meter = nullptr);
 
 }  // namespace bc::tsp
 

@@ -12,6 +12,7 @@
 #include <span>
 
 #include "support/deadline.h"
+#include "tsp/distance_table.h"
 #include "tsp/improve.h"
 #include "tsp/tour.h"
 
@@ -24,10 +25,11 @@ struct SolverOptions {
   // Number of nearest-neighbour starts to try (spread over the points);
   // greedy-edge construction is always tried as well.
   std::size_t nn_starts = 4;
-  // improve.metric is the movement metric for the *entire* solve —
-  // construction, exact DP, local search and the keep-the-best length
-  // comparison all read it, so there is a single source of truth. Null =
-  // Euclidean.
+  // improve.metric is the movement metric for the *entire* solve: the
+  // point-set solve_tsp fills one distance table from it, and
+  // construction, the exact DP, local search and the keep-the-best length
+  // comparison all read that table, so there is a single source of truth.
+  // Null = Euclidean.
   ImproveOptions improve;
   // Resource limits; unlimited by default. When a budget trips the solver
   // degrades instead of hanging: a tripped Held-Karp falls back to the
@@ -38,7 +40,12 @@ struct SolverOptions {
 
 // Returns a closed tour over all points. Empty input yields an empty tour.
 // A non-null `meter` overrides options.budget (shared ladder budgets).
+// Builds one distance table over `points` from options.improve.metric.
 Tour solve_tsp(std::span<const geometry::Point2> points,
+               const SolverOptions& options = SolverOptions{},
+               support::BudgetMeter* meter = nullptr);
+// The same solve over a prebuilt table (options.improve.metric unused).
+Tour solve_tsp(const DistanceTable& table,
                const SolverOptions& options = SolverOptions{},
                support::BudgetMeter* meter = nullptr);
 

@@ -16,17 +16,21 @@ bool is_valid_tour(std::span<const std::uint32_t> order, std::size_t n) {
   return true;
 }
 
-double tour_length(std::span<const geometry::Point2> points,
-                   std::span<const std::uint32_t> order,
-                   const net::MetricSpace* metric) {
+double tour_length(const DistanceTable& table,
+                   std::span<const std::uint32_t> order) {
   if (order.size() < 2) return 0.0;
   double total = 0.0;
   for (std::size_t i = 0; i < order.size(); ++i) {
-    const auto a = order[i];
-    const auto b = order[(i + 1) % order.size()];
-    total += net::metric_distance(metric, points[a], points[b]);
+    total += table(order[i], order[(i + 1) % order.size()]);
   }
   return total;
+}
+
+double tour_length(std::span<const geometry::Point2> points,
+                   std::span<const std::uint32_t> order,
+                   const net::MetricSpace* metric) {
+  return tour_length(
+      DistanceTable(points, metric, DistanceTable::Storage::kOnDemand), order);
 }
 
 double path_length(std::span<const geometry::Point2> points,

@@ -14,6 +14,7 @@
 
 #include "geometry/point.h"
 #include "net/metric.h"
+#include "tsp/distance_table.h"
 
 namespace bc::tsp {
 
@@ -28,6 +29,9 @@ bool is_valid_tour(std::span<const std::uint32_t> order, std::size_t n);
 double tour_length(std::span<const geometry::Point2> points,
                    std::span<const std::uint32_t> order,
                    const net::MetricSpace* metric = nullptr);
+// The same sum with every leg read from a distance table.
+double tour_length(const DistanceTable& table,
+                   std::span<const std::uint32_t> order);
 
 // Length of the open path in visiting order (no closing edge).
 double path_length(std::span<const geometry::Point2> points,

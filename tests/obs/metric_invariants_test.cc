@@ -14,6 +14,7 @@
 #include "core/bundlecharge.h"
 #include "net/deployment.h"
 #include "obs/metrics.h"
+#include "oracles/improve_reference.h"
 #include "support/parallel.h"
 #include "support/rng.h"
 #include "tsp/construct.h"

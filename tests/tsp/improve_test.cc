@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "oracles/improve_reference.h"
 #include "support/rng.h"
 #include "tsp/construct.h"
 
