@@ -7,6 +7,9 @@
 // and every tier exercises the same local geometry — n=100k is a ~22.4 km
 // square city block, not a denser thicket.
 //
+// A second case times evaluate_plan on the planned tour and records how
+// many sensors its demand check summed exactly.
+//
 // The n=10k tier runs in the CI perf-smoke job against a committed
 // baseline (exact counter equality + wall-time threshold); the n=100k tier
 // runs in the manually-triggered / nightly `scale` workflow. The
@@ -34,6 +37,8 @@
 #include "io/plan_io.h"
 #include "net/deployment.h"
 #include "net/metric.h"
+#include "obs/metrics.h"
+#include "sim/evaluate.h"
 #include "support/cli.h"
 #include "support/rng.h"
 #include "support/simd.h"
@@ -189,12 +194,32 @@ int main(int argc, char** argv) {
               bc::tour::plan_tour_length(plan, config.metric.get()))
       .metric("field_side_m", side)
       .metric("peak_rss_mib", peak_rss_mib());
+
+  // The demand check of evaluate_plan on the same plan. Its exact-sum
+  // count is deterministic: perf-smoke fails if the spatial bound loosens
+  // (more exact sums) or the all-stops loop comes back (wall time).
+  const auto evaluation = bc::core::icdcs2019_simulation_profile().evaluation;
+  const auto exact_sums = [] {
+    return bc::obs::global_metrics().snapshot().counter(
+        "sim.min_fraction.exact_sums");
+  };
+  const std::uint64_t sums_before = exact_sums();
+  double min_fraction = 0.0;
+  auto& evaluate_case =
+      reporter.time_case("evaluate/n=" + std::to_string(n), repeats, [&] {
+        min_fraction = bc::sim::evaluate_plan(deployment, plan, evaluation)
+                           .min_demand_fraction;
+      });
+  evaluate_case
+      .counter("exact_sums",
+               static_cast<std::int64_t>((exact_sums() - sums_before) /
+                                         repeats))
+      .counter("sensors", static_cast<std::int64_t>(n))
+      .metric("min_demand_fraction", min_fraction);
   reporter.write(flags.get_string("out-dir"), threads);
 
   const std::string plan_out = flags.get_string("plan-out");
   if (!plan_out.empty()) {
-    const auto evaluation =
-        bc::core::icdcs2019_simulation_profile().evaluation;
     if (!bc::io::write_plan_json_file(deployment, plan, evaluation,
                                       plan_out)) {
       std::cerr << "failed to write " << plan_out << "\n";

@@ -69,14 +69,6 @@ ChargingModel ChargingModel::from_friis(double tx_gain_dbi, double rx_gain_dbi,
   return ChargingModel(alpha, beta, transmit_power_w, charge_cost_w);
 }
 
-double ChargingModel::received_power_w(double distance_m) const {
-  bc::support::require(distance_m >= 0.0, "distance must be non-negative");
-  const double denom = (distance_m + beta_) * (distance_m + beta_);
-  // Energy conservation: Eq. 1 is an attenuation fit, and with alpha >
-  // beta^2 its raw value would exceed the radiated power at short range.
-  return std::min(1.0, alpha_ / denom) * transmit_power_w_;
-}
-
 double ChargingModel::charge_time_s(double distance_m, double energy_j) const {
   bc::support::require(energy_j >= 0.0, "energy must be non-negative");
   if (energy_j == 0.0) return 0.0;

@@ -23,6 +23,10 @@
 #ifndef BUNDLECHARGE_CHARGING_MODEL_H_
 #define BUNDLECHARGE_CHARGING_MODEL_H_
 
+#include <algorithm>
+
+#include "support/require.h"
+
 namespace bc::charging {
 
 class ChargingModel {
@@ -57,8 +61,15 @@ class ChargingModel {
   double transmit_power_w() const { return transmit_power_w_; }
   double charge_cost_w() const { return charge_cost_w_; }
 
-  // Power received by a sensor at distance d >= 0 (watts).
-  double received_power_w(double distance_m) const;
+  // Power received by a sensor at distance d >= 0 (watts). Inline: the
+  // evaluator's demand check calls it once per stop-sensor term.
+  double received_power_w(double distance_m) const {
+    bc::support::require(distance_m >= 0.0, "distance must be non-negative");
+    const double denom = (distance_m + beta_) * (distance_m + beta_);
+    // Energy conservation: Eq. 1 is an attenuation fit, and with alpha >
+    // beta^2 its raw value would exceed the radiated power at short range.
+    return std::min(1.0, alpha_ / denom) * transmit_power_w_;
+  }
 
   // Seconds to deliver `energy_j` joules to a sensor at distance d.
   // Precondition: energy_j >= 0.

@@ -1,7 +1,5 @@
 #include "sim/evaluate.h"
 
-#include <algorithm>
-#include <limits>
 #include <numeric>
 
 #include "support/require.h"
@@ -26,13 +24,8 @@ PlanMetrics evaluate_plan(const net::Deployment& deployment,
   m.avg_charge_time_per_sensor_s =
       m.charge_time_s / static_cast<double>(deployment.size());
 
-  const std::vector<double> received =
-      received_energy_j(deployment, plan, config.charging, times);
-  double min_fraction = std::numeric_limits<double>::infinity();
-  for (const net::Sensor& s : deployment.sensors()) {
-    min_fraction = std::min(min_fraction, received[s.id] / s.demand_j);
-  }
-  m.min_demand_fraction = min_fraction;
+  m.min_demand_fraction =
+      min_demand_fraction(deployment, plan, config.charging, times);
   return m;
 }
 

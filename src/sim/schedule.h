@@ -9,7 +9,7 @@
 //                time t is determined by the sensor with the farthest
 //                charging distance in each charging bundle", §I).
 //
-//   kCumulative  stops are processed in tour order; each sensor's deficit
+//   kCumulative  stops are processed in tour order; each member's deficit
 //                is credited with the energy already received from every
 //                earlier stop (wireless charging is one-to-many, Eq. 3's
 //                constraint sums over all stops), and t_i covers only the
@@ -45,13 +45,24 @@ std::vector<double> schedule_stop_times(const net::Deployment& deployment,
                                         const charging::ChargingModel& model,
                                         SchedulePolicy policy);
 
-// Physical received energy per sensor given stop times: every stop
-// radiates to every sensor (one-to-many). Used for verification and by the
-// cumulative policy.
+// Physical received energy per sensor given stop times: every stop with
+// t > 0 radiates to every sensor (one-to-many). Sensor j's entry is the
+// stop-order sum of p_r(d(l_i, s_j)) * t_i.
 std::vector<double> received_energy_j(const net::Deployment& deployment,
                                       const tour::ChargingPlan& plan,
                                       const charging::ChargingModel& model,
                                       const std::vector<double>& stop_times_s);
+
+// Minimum over sensors of received_energy_j / demand: >= 1 iff every
+// sensor met its demand. Bit-identical to taking the minimum over the
+// full received_energy_j vector, but sums exactly only for the sensors a
+// certified spatial lower bound cannot rule out (DESIGN.md §8). Adds the
+// sensor count and the exact sums to the `sim.min_fraction.sensors` and
+// `sim.min_fraction.exact_sums` counters.
+double min_demand_fraction(const net::Deployment& deployment,
+                           const tour::ChargingPlan& plan,
+                           const charging::ChargingModel& model,
+                           const std::vector<double>& stop_times_s);
 
 }  // namespace bc::sim
 

@@ -156,7 +156,9 @@ TEST(FaultLifetimeTest, SurvivalCurveIsWellFormed) {
   EXPECT_EQ(curve.front().t_s, 0.0);
   EXPECT_EQ(curve.back().t_s, config.base.horizon_s);
   for (std::size_t i = 0; i < curve.size(); ++i) {
-    if (i > 0) EXPECT_LE(curve[i - 1].t_s, curve[i].t_s);
+    if (i > 0) {
+      EXPECT_LE(curve[i - 1].t_s, curve[i].t_s);
+    }
     EXPECT_GE(curve[i].alive_fraction, 0.0);
     EXPECT_LE(curve[i].alive_fraction, 1.0);
   }

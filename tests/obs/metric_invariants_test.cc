@@ -153,6 +153,26 @@ TEST(MetricInvariantsTest, ReferenceMovesMatchItsOwnGainAccounting) {
   EXPECT_GT(snap.counter("tsp.two_opt_reference.moves"), 0u);
 }
 
+TEST(MetricInvariantsTest, DemandCheckSumsBetweenOneAndEverySensor) {
+  // Each evaluate_plan adds its sensor count and the exact received-energy
+  // sums its demand check spent: at least one (the minimum is always a
+  // real sum) and at most one per sensor.
+  const core::BundleChargingPlanner planner(
+      core::icdcs2019_simulation_profile());
+  for (const std::size_t n : {1u, 30u, 400u}) {
+    for (const auto algorithm : {tour::Algorithm::kSc, tour::Algorithm::kBc}) {
+      MetricsRegistry registry;
+      ScopedMetricsRegistry scope(registry);
+      planner.plan(make_deployment(n, 7000 + n), algorithm);
+      const MetricsSnapshot snap = registry.snapshot();
+      const std::uint64_t sums = snap.counter("sim.min_fraction.exact_sums");
+      EXPECT_EQ(snap.counter("sim.min_fraction.sensors"), n);
+      EXPECT_GE(sums, 1u) << "n=" << n;
+      EXPECT_LE(sums, n) << "n=" << n;
+    }
+  }
+}
+
 TEST(MetricInvariantsTest, CountersAreThreadCountInvariant) {
   // The full solver-ladder metric snapshot is part of the determinism
   // contract: identical at every BC_THREADS, not merely "all events

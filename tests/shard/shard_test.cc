@@ -34,7 +34,9 @@ net::Deployment random_deployment(std::size_t n, std::uint64_t seed,
 // bit-identical.
 std::string signature(const std::vector<Bundle>& bundles) {
   std::string out;
-  char buf[64];
+  // Three %.17g values of up to 24 characters each (as in
+  // "-1.2345678901234567e-308"), "(,,)" and the terminator.
+  char buf[3 * 24 + 4 + 1];
   for (const Bundle& b : bundles) {
     std::snprintf(buf, sizeof(buf), "(%.17g,%.17g,%.17g)", b.anchor.x,
                   b.anchor.y, b.radius);

@@ -71,25 +71,27 @@ TEST(EvaluateTest, CumulativePolicyCostsNoMoreEnergy) {
 }
 
 TEST(EvaluateTest, InfeasiblePlanIsDetected) {
-  // Manually zero the members of one stop: the evaluator's schedule will
-  // park zero seconds there and the sensor may only get cross-charge.
-  const net::Deployment d(
-      {{100.0, 100.0}, {900.0, 900.0}},
-      geometry::Box2{{0.0, 0.0}, {1000.0, 1000.0}}, {0.0, 0.0}, 2.0);
-  tour::ChargingPlan plan;
-  plan.algorithm = "broken";
-  plan.depot = d.depot();
-  // Both sensors assigned to a stop near sensor 0 only; sensor 1 is
-  // 1131 m away and its cross-charge is tiny but nonzero, so the isolated
-  // schedule on the assigned stop *will* cover it (farthest member rule).
-  // To get infeasibility, give sensor 1 its own stop with zero time by
-  // assigning it nowhere — which the partition check rejects — so instead
-  // verify the tolerance knob of plan_is_feasible.
-  plan.stops = {tour::Stop{{100.0, 100.0}, {0, 1}}};
+  // Every schedule policy is feasible by construction, so infeasibility
+  // has to come from the stop times. Halving them halves every term and
+  // every sum exactly (a power-of-two scale), so the cumulative
+  // schedule's binding sensor, which receives exactly its demand, drops
+  // to half of it.
+  const net::Deployment d = random_deployment(60, 5);
+  tour::PlannerConfig config;
+  config.bundle_radius = 40.0;
+  const auto plan = tour::plan_bc(d, config);
   EvaluationConfig eval;
+  eval.policy = SchedulePolicy::kCumulative;
   const PlanMetrics m = evaluate_plan(d, plan, eval);
-  EXPECT_GE(m.min_demand_fraction, 1.0 - 1e-9);  // farthest-member rule
+  EXPECT_EQ(m.min_demand_fraction, 1.0);
   EXPECT_TRUE(plan_is_feasible(d, plan, eval));
+
+  std::vector<double> times =
+      schedule_stop_times(d, plan, eval.charging, eval.policy);
+  for (double& t : times) t *= 0.5;
+  const double halved = min_demand_fraction(d, plan, eval.charging, times);
+  EXPECT_EQ(halved, 0.5 * m.min_demand_fraction);
+  EXPECT_LT(halved, 1.0 - 1e-6);
   EXPECT_THROW(plan_is_feasible(d, plan, eval, -1.0),
                support::PreconditionError);
 }

@@ -13,7 +13,6 @@
 // cell long, centred in cells (1 + w % 23, 1 + 7w % 23). SC and CSS stay
 // at n = 60 there, since the walled n = 200 plans took seconds each.
 
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -25,9 +24,9 @@
 #include <gtest/gtest.h>
 
 #include "core/profiles.h"
+#include "fixtures/paper_world.h"
 #include "net/deployment.h"
 #include "net/metric.h"
-#include "support/rng.h"
 #include "tour/planner.h"
 
 namespace bc::tour {
@@ -35,52 +34,10 @@ namespace {
 
 constexpr double kRadiusM = 60.0;
 
-double field_side_m(std::size_t n) {
-  return 1000.0 * std::sqrt(static_cast<double>(n) / 200.0);
-}
-
-// Uniform sensors at the paper's 200 per km^2, depot at the origin.
-net::Deployment paper_deployment(std::size_t n, std::uint64_t seed) {
-  const double side = field_side_m(n);
-  net::FieldSpec spec;
-  spec.field = {{0.0, 0.0}, {side, side}};
-  spec.depot = {0.0, 0.0};
-  support::Rng rng(seed);
-  return net::uniform_random_deployment(n, spec, rng);
-}
-
-net::WaypointGraph obstacle_world(double side_m) {
-  constexpr std::uint32_t kPerSide = 25;
-  constexpr std::uint32_t kWalls = 40;
-  const double step = side_m / (kPerSide - 1);
-  net::WaypointGraph graph;
-  for (std::uint32_t row = 0; row < kPerSide; ++row) {
-    for (std::uint32_t col = 0; col < kPerSide; ++col) {
-      graph.nodes.push_back({col * step, row * step});
-    }
-  }
-  for (std::uint32_t row = 0; row < kPerSide; ++row) {
-    for (std::uint32_t col = 0; col < kPerSide; ++col) {
-      const std::uint32_t at = row * kPerSide + col;
-      if (col + 1 < kPerSide) graph.edges.push_back({at, at + 1, step});
-      if (row + 1 < kPerSide) graph.edges.push_back({at, at + kPerSide, step});
-    }
-  }
-  for (std::uint32_t w = 0; w < kWalls; ++w) {
-    const double cx = (1 + w % 23 + 0.5) * step;
-    const double cy = (1 + (7 * w) % 23 + 0.5) * step;
-    graph.obstacles.push_back({{cx - 0.3 * step, cy}, {cx + 0.3 * step, cy}});
-  }
-  return graph;
-}
-
-void fnv(std::uint64_t& h, const void* data, std::size_t size) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= bytes[i];
-    h *= 0x100000001b3ULL;
-  }
-}
+using fixtures::field_side_m;
+using fixtures::fnv;
+using fixtures::obstacle_world;
+using fixtures::paper_deployment;
 
 // FNV-1a over each stop's position bits, member count and member ids.
 std::uint64_t plan_hash(const ChargingPlan& plan) {
