@@ -1,16 +1,21 @@
-// Perf-regression micro benches for the three hot kernels of the planning
+// Perf-regression micro benches for the hot kernels of the planning
 // pipeline: candidate bundle enumeration, the exact-cover branch & bound,
-// and TSP local search (2-opt / Or-opt). Each kernel is timed on uniform
-// dense deployments at n in {100, 300, 800} and the results are written as
-// machine-readable `BENCH_<kernel>.json` files (schema: DESIGN.md §8) for
-// the CI perf-smoke job to diff against `bench/baselines/`.
+// Algorithm 2's greedy cover and TSP local search (2-opt / Or-opt). The
+// enumeration, exact-cover and TSP kernels are timed on uniform dense
+// deployments at n in {100, 300, 800}; the greedy cover runs monolithic
+// at the paper's density at n in {2000, 10000}. The results are written
+// as machine-readable `BENCH_<kernel>.json` files (schema: DESIGN.md §8)
+// for the CI perf-smoke job to diff against `bench/baselines/`.
 //
 // Wall times are the minimum over --repeats runs; counters (nodes
-// expanded, candidates enumerated, moves applied) are deterministic for a
-// given build at every thread count. The exact-cover case pins a node cap
-// so before/after builds expand the same number of nodes and the wall-time
-// ratio is a pure per-node-cost comparison.
+// expanded, candidates enumerated, gain evaluations, moves applied) are
+// deterministic for a given build at every thread count. The exact-cover
+// case pins a node cap so before/after builds expand the same number of
+// nodes and the wall-time ratio is a pure per-node-cost comparison. The
+// greedy cover's `gain_evals` fails perf-smoke if the rounds x candidates
+// rescan comes back.
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -19,8 +24,10 @@
 #include "bench_util.h"
 #include "bundle/candidates.h"
 #include "bundle/exact_cover.h"
+#include "bundle/greedy_cover.h"
 #include "core/bundlecharge.h"
 #include "net/deployment.h"
+#include "obs/metrics.h"
 #include "support/cli.h"
 #include "support/rng.h"
 #include "tsp/construct.h"
@@ -38,6 +45,17 @@ bc::net::Deployment make_deployment(std::size_t n, std::uint64_t seed) {
   bc::support::Rng rng(seed);
   return bc::net::uniform_random_deployment(
       n, bc::core::icdcs2019_simulation_profile().field, rng);
+}
+
+// n sensors at the paper's 200 per km^2 (field side sqrt(n / 200) km).
+bc::net::Deployment paper_density_deployment(std::size_t n,
+                                             std::uint64_t seed) {
+  const double side = 1000.0 * std::sqrt(static_cast<double>(n) / 200.0);
+  bc::net::FieldSpec spec;
+  spec.field = {{0.0, 0.0}, {side, side}};
+  spec.depot = {0.0, 0.0};
+  bc::support::Rng rng(seed);
+  return bc::net::uniform_random_deployment(n, spec, rng);
 }
 
 std::vector<Point2> random_points(std::size_t n, std::uint64_t seed) {
@@ -94,6 +112,30 @@ void bench_exact_cover(const std::string& out_dir, std::size_t repeats,
   reporter.write(out_dir, threads);
 }
 
+void bench_greedy_cover(const std::string& out_dir, std::size_t repeats,
+                        std::size_t threads) {
+  bc::bench::BenchReporter reporter("greedy_cover");
+  const auto gain_evals = [] {
+    return bc::obs::global_metrics().snapshot().counter(
+        "greedy_cover.gain_evals");
+  };
+  for (const std::size_t n : {std::size_t{2000}, std::size_t{10000}}) {
+    const auto d = paper_density_deployment(n, 3000 + n);
+    const auto candidates = bc::bundle::enumerate_candidates(d, kRadius);
+    std::vector<bc::bundle::Bundle> cover;
+    const std::uint64_t evals_before = gain_evals();
+    auto& timed = reporter.time_case(case_name(n), repeats, [&] {
+      cover = bc::bundle::greedy_cover(d, candidates);
+    });
+    timed.counter("cover_size", static_cast<std::int64_t>(cover.size()))
+        .counter("gain_evals",
+                 static_cast<std::int64_t>((gain_evals() - evals_before) /
+                                           repeats))
+        .counter("candidates", static_cast<std::int64_t>(candidates.size()));
+  }
+  reporter.write(out_dir, threads);
+}
+
 void bench_tsp_improve(const std::string& out_dir, std::size_t repeats,
                        std::size_t threads) {
   bc::bench::BenchReporter reporter("tsp_improve");
@@ -145,6 +187,7 @@ int main(int argc, char** argv) {
 
   bench_candidates(out_dir, repeats, threads);
   bench_exact_cover(out_dir, repeats, threads);
+  bench_greedy_cover(out_dir, repeats, threads);
   bench_tsp_improve(out_dir, repeats, threads);
   return 0;
 }

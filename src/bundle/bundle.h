@@ -28,9 +28,9 @@ struct Bundle {
 Bundle make_bundle(const net::Deployment& deployment,
                    std::vector<net::SensorId> members);
 
-// True iff `bundles` jointly cover every sensor of the deployment exactly
-// once is NOT required — coverage means every sensor appears in at least
-// one bundle (the OBG constraint of Eq. 2).
+// True iff every sensor of the deployment appears in at least one bundle
+// (the OBG constraint of Eq. 2). Bundles may overlap; is_partition below
+// is the exactly-once check.
 bool covers_all_sensors(const net::Deployment& deployment,
                         std::span<const Bundle> bundles);
 

@@ -1,9 +1,10 @@
 #include "bundle/candidates.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <limits>
 #include <span>
-#include <unordered_set>
 #include <utility>
 
 #include "geometry/circle.h"
@@ -12,7 +13,6 @@
 #include "obs/trace.h"
 #include "support/parallel.h"
 #include "support/require.h"
-#include "support/simd.h"
 
 namespace bc::bundle {
 
@@ -20,155 +20,276 @@ using geometry::Point2;
 
 namespace {
 
-// SplitMix64-style hash over a canonical (ascending-id) member vector.
-// Keys the dedup hash set; the canonical order itself is restored by one
-// final sort, so insertion order never leaks into the result.
-struct MemberSetHash {
-  std::size_t operator()(const std::vector<net::SensorId>& members) const {
-    std::uint64_t h = 0x9e3779b97f4a7c15ULL ^ members.size();
-    for (const net::SensorId id : members) {
-      std::uint64_t z = h + 0x9e3779b97f4a7c15ULL + id;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-      h = z ^ (z >> 31);
+// Member sets back to back: set k is ids[offsets[k], offsets[k + 1]), in
+// ascending id order. Each parallel chunk fills its own arena; the chunks
+// are concatenated in chunk order, which is exactly the serial scan's
+// arena at any thread count.
+struct SetArena {
+  std::vector<net::SensorId> ids;
+  std::vector<std::size_t> offsets{0};
+  std::uint64_t emitted = 0;      // pair-circle sets of size >= 2
+  std::uint64_t seed_pruned = 0;  // emitted sets dropped within their seed
+
+  std::size_t size() const { return offsets.size() - 1; }
+  std::span<const net::SensorId> set(std::size_t k) const {
+    return {ids.data() + offsets[k], offsets[k + 1] - offsets[k]};
+  }
+  void append(const SetArena& chunk) {
+    const std::size_t base = ids.size();
+    ids.insert(ids.end(), chunk.ids.begin(), chunk.ids.end());
+    for (std::size_t k = 1; k < chunk.offsets.size(); ++k) {
+      offsets.push_back(base + chunk.offsets[k]);
     }
-    return static_cast<std::size_t>(h);
+    emitted += chunk.emitted;
+    seed_pruned += chunk.seed_pruned;
   }
 };
 
-using MemberSetTable =
-    std::unordered_set<std::vector<net::SensorId>, MemberSetHash>;
+// Every member of an r-circle through seed i lies within dist(i, center)
+// + member radius <= 2r + slack of i, so one padded 2r query per seed
+// serves as the pool for every circle seeded there — the inner loops then
+// filter by exact distance instead of re-querying the grid.
+double pool_radius(double r) { return 2.0 * r + 1e-6 * (r + 1.0); }
+
+// Offers one pair-circle set (a mask over the seed's pool) to the seed's
+// maximal sets `kept`: it is dropped when equal to or inside a kept set,
+// and otherwise evicts every kept set it strictly contains. `kept` stays
+// an antichain, so a dropped set never had anything to evict and one pass
+// decides both.
+void offer_seed_set(const std::vector<std::uint64_t>& fresh,
+                    std::size_t words, std::vector<std::uint64_t>& kept,
+                    std::uint64_t& pruned) {
+  const auto subset = [words](const std::uint64_t* a, const std::uint64_t* b) {
+    for (std::size_t w = 0; w < words; ++w) {
+      if ((a[w] & ~b[w]) != 0) return false;
+    }
+    return true;
+  };
+  const std::size_t count = kept.size() / words;
+  std::size_t out = 0;
+  for (std::size_t k = 0; k < count; ++k) {
+    const std::uint64_t* set = kept.data() + k * words;
+    if (subset(fresh.data(), set)) {
+      ++pruned;
+      return;
+    }
+    if (subset(set, fresh.data())) {
+      ++pruned;
+      continue;
+    }
+    if (out != k) std::copy_n(set, words, kept.data() + out * words);
+    ++out;
+  }
+  kept.resize(out * words);
+  kept.insert(kept.end(), fresh.begin(), fresh.end());
+}
 
 // Pair-circle enumeration seeded at sensors [begin, end): for each seed i,
 // the two radius-r circles through every pair (i, j > i) within 2r, with
-// the sensors inside each circle collected and handed to `emit` (member
-// sets of size >= 2, ascending ids; the buffer is reused across calls).
-// `emit` returns false to stop the scan early (candidate cap); a non-null
-// meter is charged one unit per seed pair and also stops the scan when it
-// trips. Returns true iff the scan ran to completion.
+// the sensors inside each circle collected as a bitmask over i's id-sorted
+// pool. Only the seed's locally maximal sets reach `arena` — the output
+// is the maximal family of everything emitted, and a set equal to or
+// inside another set of its own seed is never maximal there, nor needed
+// to find what is. A non-null meter is charged one unit per seed pair and
+// stops the scan when it trips (the partial seed's maxima are still
+// flushed).
 //
 // This one body serves both the serial metered path and the parallel
 // chunked path — it is a pure function of the geometry and the scan
 // interval, so chunks can run on any thread (with a null meter).
-template <typename Emit>
-bool enumerate_seeded_at(std::span<const Point2> positions,
+void enumerate_seeded_at(std::span<const Point2> positions,
                          const net::SpatialIndex& index, double r,
                          std::size_t begin, std::size_t end,
-                         support::BudgetMeter* meter, Emit&& emit) {
+                         support::BudgetMeter* meter, SetArena& arena) {
   // Relative slack: the defining pair sits exactly on the circle boundary
   // and must not be lost to rounding in the construction of `center`.
   const double member_r = r * (1.0 + 1e-9) + 1e-12;
   const double member_r2 = member_r * member_r;
   const double pair_r2 = 4.0 * r * r;
-  // Every member of an r-circle through i lies within dist(i, center) +
-  // member_r <= 2r + slack of i, so one padded 2r query per seed serves as
-  // the candidate pool for every circle seeded there — the inner loops
-  // then filter by exact distance instead of re-querying the grid.
-  const double pool_r = 2.0 * r + 1e-6 * (r + 1.0);
-  std::vector<net::SensorId> near_i;
-  std::vector<net::SensorId> members;
-  // SoA shadow of the pool: the per-circle membership scan is a streaming
-  // distance filter (support::simd) instead of an id-indirected gather,
-  // and it runs twice per in-range pair.
+  const double pool_r = pool_radius(r);
+  std::vector<net::SensorId> pool;
   std::vector<double> pool_xs;
   std::vector<double> pool_ys;
-  for (std::size_t i = begin; i < end; ++i) {
-    index.within(positions[i], pool_r, near_i);
-    pool_xs.resize(near_i.size());
-    pool_ys.resize(near_i.size());
-    for (std::size_t t = 0; t < near_i.size(); ++t) {
-      pool_xs[t] = positions[near_i[t]].x;
-      pool_ys[t] = positions[near_i[t]].y;
+  std::vector<std::uint64_t> fresh;
+  std::vector<std::uint64_t> kept;
+  bool tripped = false;
+  for (std::size_t i = begin; i < end && !tripped; ++i) {
+    index.within(positions[i], pool_r, pool);
+    const std::size_t count = pool.size();
+    const std::size_t words = (count + 63) / 64;
+    pool_xs.resize(count);
+    pool_ys.resize(count);
+    for (std::size_t t = 0; t < count; ++t) {
+      pool_xs[t] = positions[pool[t]].x;
+      pool_ys[t] = positions[pool[t]].y;
     }
-    for (const net::SensorId j : near_i) {
+    fresh.resize(words);
+    kept.clear();
+    for (const net::SensorId j : pool) {
       if (j <= i) continue;
       // The padded pool can hold partners just beyond 2r; skip them before
       // the meter charge so budget cut points match the unpadded scan.
       if (geometry::distance_squared(positions[i], positions[j]) > pair_r2) {
         continue;
       }
-      if (meter != nullptr && !meter->charge()) return false;
+      if (meter != nullptr && !meter->charge()) {
+        tripped = true;
+        break;
+      }
       const auto centers =
           geometry::circles_through_pair(positions[i], positions[j], r);
       if (!centers.has_value()) continue;
       for (const Point2 center : {centers->first, centers->second}) {
-        members.clear();
-        // near_i is id-sorted and filter_within appends in scan order, so
-        // members comes out id-sorted too.
-        support::simd::filter_within(pool_xs.data(), pool_ys.data(),
-                                     near_i.data(), near_i.size(), center.x,
-                                     center.y, member_r2, members);
-        if (members.size() < 2) continue;
-        if (!emit(members)) return false;
+        // The membership test of support::simd::filter_within's scalar
+        // oracle, so every set has the bits the id-list scan gave.
+        std::size_t size = 0;
+        for (std::size_t w = 0; w < words; ++w) {
+          std::uint64_t bits = 0;
+          const std::size_t last = std::min(count, 64 * w + 64);
+          for (std::size_t t = 64 * w; t < last; ++t) {
+            const double dx = pool_xs[t] - center.x;
+            const double dy = pool_ys[t] - center.y;
+            bits |= std::uint64_t{dx * dx + dy * dy <= member_r2} << (t & 63);
+          }
+          fresh[w] = bits;
+          size += static_cast<std::size_t>(std::popcount(bits));
+        }
+        if (size < 2) continue;
+        ++arena.emitted;
+        offer_seed_set(fresh, words, kept, arena.seed_pruned);
+      }
+    }
+    // The pool is id-sorted, so ascending bits give ascending ids.
+    for (std::size_t k = 0; k < kept.size(); k += words) {
+      for (std::size_t w = 0; w < words; ++w) {
+        for (std::uint64_t bits = kept[k + w]; bits != 0; bits &= bits - 1) {
+          arena.ids.push_back(
+              pool[w * 64 + static_cast<std::size_t>(std::countr_zero(bits))]);
+        }
+      }
+      arena.offsets.push_back(arena.ids.size());
+    }
+  }
+}
+
+// SplitMix64-style hash over an ascending-id member set. It only places
+// sets in the dedup table; the output order comes from one sort.
+std::uint64_t hash_members(std::span<const net::SensorId> members) {
+  std::uint64_t h = 0x9e3779b97f4a7c15ULL ^ members.size();
+  for (const net::SensorId id : members) {
+    std::uint64_t z = h + 0x9e3779b97f4a7c15ULL + id;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    h = z ^ (z >> 31);
+  }
+  return h;
+}
+
+// Arena indices of the distinct sets (first occurrence, arena order),
+// through an open-addressing table at load <= 1/2.
+std::vector<std::uint32_t> distinct_sets(const SetArena& arena) {
+  constexpr std::uint32_t kEmpty = std::numeric_limits<std::uint32_t>::max();
+  const std::size_t m = arena.size();
+  support::ensure(m < kEmpty, "candidate arena exceeds 2^32 sets");
+  const std::size_t capacity = std::bit_ceil(2 * m + 1);
+  std::vector<std::uint32_t> slots(capacity, kEmpty);
+  std::vector<std::uint32_t> distinct;
+  distinct.reserve(m);
+  for (std::size_t k = 0; k < m; ++k) {
+    const auto set = arena.set(k);
+    std::size_t slot = hash_members(set) & (capacity - 1);
+    while (true) {
+      const std::uint32_t other = slots[slot];
+      if (other == kEmpty) {
+        slots[slot] = static_cast<std::uint32_t>(k);
+        distinct.push_back(static_cast<std::uint32_t>(k));
+        break;
+      }
+      if (std::ranges::equal(arena.set(other), set)) break;
+      slot = (slot + 1) & (capacity - 1);
+    }
+  }
+  return distinct;
+}
+
+// Sorts distinct arena indices by (size desc, member ids lex asc). The
+// (size, first member) prefix of that order is packed into one integer
+// key, so only sets sharing both compare their spans.
+void sort_by_size_then_members(const SetArena& arena,
+                               std::vector<std::uint32_t>& order) {
+  struct Keyed {
+    std::uint64_t key;
+    std::uint32_t index;
+  };
+  std::vector<Keyed> keyed;
+  keyed.reserve(order.size());
+  for (const std::uint32_t k : order) {
+    const auto set = arena.set(k);
+    const auto size_rank = static_cast<std::uint64_t>(
+        std::numeric_limits<std::uint32_t>::max() - set.size());
+    keyed.push_back({size_rank << 32 | set.front(), k});
+  }
+  std::sort(keyed.begin(), keyed.end(), [&](const Keyed& a, const Keyed& b) {
+    if (a.key != b.key) return a.key < b.key;
+    return std::ranges::lexicographical_compare(arena.set(a.index),
+                                                arena.set(b.index));
+  });
+  for (std::size_t rank = 0; rank < keyed.size(); ++rank) {
+    order[rank] = keyed[rank].index;
+  }
+}
+
+// Keeps the sets of `order` (distinct arena indices sorted by size desc,
+// lex asc) that no other set strictly contains, in that order. A strictly
+// larger superset comes earlier and holds the candidate's first member, so
+// only the earlier sets on that member's list are probed, and only kept
+// ones: had a dominating set itself been dominated, its dominator (kept,
+// by induction) also contains the candidate. The member lists are one CSR
+// array over `order`, so memory is linear in the arena.
+std::vector<std::uint32_t> maximal_sets(const SetArena& arena,
+                                        const std::vector<std::uint32_t>& order,
+                                        std::size_t n) {
+  std::vector<std::size_t> start(n + 1, 0);
+  for (const std::uint32_t k : order) {
+    for (const net::SensorId id : arena.set(k)) ++start[id + 1];
+  }
+  for (std::size_t id = 0; id < n; ++id) start[id + 1] += start[id];
+  std::vector<std::uint32_t> ranks(start[n]);
+  {
+    std::vector<std::size_t> cursor(start.begin(), start.end() - 1);
+    for (std::size_t rank = 0; rank < order.size(); ++rank) {
+      for (const net::SensorId id : arena.set(order[rank])) {
+        ranks[cursor[id]++] = static_cast<std::uint32_t>(rank);
       }
     }
   }
-  return true;
-}
 
-// Removes every set strictly contained in another, in place. Size-bucketed
-// bitset subset tests replace the old O(m^2) std::includes scan: sets are
-// processed largest-first, every kept set is registered in an inverted
-// sensor -> kept-set index with its members packed into a bitset, and a
-// candidate only tests the strictly larger kept sets containing its first
-// member — each test is then a handful of word-indexed bit probes.
-//
-// Precondition: `sets` is deduplicated and lexicographically sorted.
-// Postcondition: survivors ordered by (size desc, lexicographic asc).
-void prune_dominated_sets(std::vector<std::vector<net::SensorId>>& sets,
-                          std::size_t n) {
-  const std::size_t words = (n + 63) / 64;
-  // Stable size-desc sort of the lex-sorted input pins the output order.
-  std::stable_sort(sets.begin(), sets.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.size() > b.size();
-                   });
-
-  std::vector<std::uint64_t> kept_bits;          // kept-major packed bitsets
-  std::vector<std::uint32_t> kept_size;          // member count per kept set
-  std::vector<std::vector<std::uint32_t>> by_member(n);  // sensor -> kept ids
-  std::vector<std::vector<net::SensorId>> kept;
-
-  for (auto& candidate : sets) {
+  std::vector<char> kept(order.size(), 0);
+  std::vector<std::uint32_t> maximal;
+  for (std::size_t rank = 0; rank < order.size(); ++rank) {
+    const auto set = arena.set(order[rank]);
     bool dominated = false;
-    // Only a strictly larger kept set containing the first member can
-    // dominate; by_member keeps that probe list short. Checking kept sets
-    // alone is complete: had a dominating set itself been dominated, its
-    // dominator (kept, by induction) also contains this candidate.
-    for (const std::uint32_t k : by_member[candidate.front()]) {
-      if (kept_size[k] <= candidate.size()) continue;
-      const std::uint64_t* super = kept_bits.data() + k * words;
-      bool subset = true;
-      for (const net::SensorId id : candidate) {
-        if (((super[id >> 6] >> (id & 63)) & 1u) == 0) {
-          subset = false;
-          break;
-        }
-      }
-      if (subset) {
+    for (std::size_t e = start[set.front()]; e < start[set.front() + 1]; ++e) {
+      const std::uint32_t other = ranks[e];
+      const auto super = arena.set(order[other]);
+      if (super.size() <= set.size()) break;
+      if (kept[other] != 0 &&
+          std::includes(super.begin(), super.end(), set.begin(), set.end())) {
         dominated = true;
         break;
       }
     }
     if (dominated) continue;
-    const auto kept_id = static_cast<std::uint32_t>(kept.size());
-    kept_bits.resize(kept_bits.size() + words, 0);
-    std::uint64_t* bits = kept_bits.data() + kept_id * words;
-    for (const net::SensorId id : candidate) {
-      bits[id >> 6] |= std::uint64_t{1} << (id & 63);
-      by_member[id].push_back(kept_id);
-    }
-    kept_size.push_back(static_cast<std::uint32_t>(candidate.size()));
-    kept.push_back(std::move(candidate));
+    kept[rank] = 1;
+    maximal.push_back(order[rank]);
   }
-  sets = std::move(kept);
+  return maximal;
 }
 
 }  // namespace
 
 std::vector<Bundle> enumerate_candidates(const net::Deployment& deployment,
                                          double r,
-                                         const CandidateOptions& options,
                                          support::BudgetMeter* meter) {
   support::require(r >= 0.0, "candidate radius must be non-negative");
   const auto positions = deployment.positions();
@@ -176,117 +297,83 @@ std::vector<Bundle> enumerate_candidates(const net::Deployment& deployment,
 
   obs::TraceSpan span("candidates.enumerate");
   span.attr("n", static_cast<std::int64_t>(n)).attr("r", r);
-  // Emitted pair-circle sets, counted across both scan paths; dedup hits
-  // are recovered afterwards from the table growth.
-  std::uint64_t sets_emitted = 0;
 
-  // Collect distinct member sets. The hash set only deduplicates; the
-  // canonical candidate order every later stage sees is produced by one
-  // lexicographic sort below, so it is independent of insertion order —
-  // and therefore of how many threads enumerated.
-  // Reserve well past the expected distinct-set count (dense fields emit
-  // ~10 sets per sensor); incremental rehashing of a growing table showed
-  // up as >20% of enumeration time in profiles.
-  MemberSetTable member_sets;
-  member_sets.reserve(64 + 16 * n);
-
-  // Singletons guarantee feasibility of the cover.
-  for (net::SensorId id = 0; id < n; ++id) {
-    member_sets.insert({id});
-  }
-
+  SetArena arena;
   if (r > 0.0 && n > 1) {
-    const net::SpatialIndex index(positions, std::max(r, 1e-9));
-    if (options.max_candidates != 0 || meter != nullptr) {
-      // The candidate cap and the budget are early-exits whose cut points
-      // depend on visit order, so honour them with the serial scan.
-      enumerate_seeded_at(
-          positions, index, r, 0, n, meter,
-          [&](const std::vector<net::SensorId>& members) {
-            ++sets_emitted;
-            member_sets.insert(members);
-            return options.max_candidates == 0 ||
-                   member_sets.size() < options.max_candidates;
-          });
+    // Cells of half the pool radius: a pool query scans 5 x 5 cells.
+    const net::SpatialIndex index(positions, pool_radius(r) / 2.0);
+    if (meter != nullptr) {
+      // The budget is an early exit whose cut point depends on visit
+      // order, so honour it with the serial scan.
+      enumerate_seeded_at(positions, index, r, 0, n, meter, arena);
     } else {
-      // Uncapped path: the O(n^2)-pairs scan dominates bundle generation,
-      // so fan the seed sensors out over the pool. The grain is fixed (not
-      // derived from the thread count) and each chunk returns its own
-      // partial list; the order-blind dedup + final sort make the merged
-      // result identical at every thread count.
-      constexpr std::size_t kGrain = 8;
+      // Unmetered: fan the seed sensors out over the pool. The grain is
+      // fixed (not derived from the thread count) and the chunk arenas are
+      // concatenated in chunk order, so the arena is the serial one.
+      constexpr std::size_t kGrain = 64;
       const std::size_t num_chunks = (n + kGrain - 1) / kGrain;
-      auto partials =
-          support::parallel_map<std::vector<std::vector<net::SensorId>>>(
-              num_chunks, 1, [&](std::size_t chunk) {
-                const std::size_t begin = chunk * kGrain;
-                const std::size_t end = std::min(n, begin + kGrain);
-                std::vector<std::vector<net::SensorId>> found;
-                enumerate_seeded_at(
-                    positions, index, r, begin, end, nullptr,
-                    [&](std::vector<net::SensorId>& members) {
-                      found.push_back(members);
-                      return true;
-                    });
-                return found;
-              });
-      std::size_t total = member_sets.size();
-      for (const auto& partial : partials) total += partial.size();
-      sets_emitted = total - member_sets.size();
-      member_sets.reserve(total);  // merge without a single rehash
-      for (auto& partial : partials) {
-        for (auto& members : partial) {
-          member_sets.insert(std::move(members));
-        }
-      }
+      const auto partials = support::parallel_map<SetArena>(
+          num_chunks, 1, [&](std::size_t chunk) {
+            const std::size_t begin = chunk * kGrain;
+            SetArena found;
+            enumerate_seeded_at(positions, index, r, begin,
+                                std::min(n, begin + kGrain), nullptr, found);
+            return found;
+          });
+      for (const SetArena& partial : partials) arena.append(partial);
     }
   }
 
-  // Emitted sets all have size >= 2, so distinct non-singleton sets =
-  // table size - n singletons; the rest of the emissions were dedup hits.
-  const std::uint64_t distinct_pairsets = member_sets.size() - n;
-  const std::uint64_t dedup_hits = sets_emitted - distinct_pairsets;
+  std::vector<std::uint32_t> order = distinct_sets(arena);
+  const std::uint64_t dedup_hits = arena.size() - order.size();
+  sort_by_size_then_members(arena, order);
+  const std::vector<std::uint32_t> maximal = maximal_sets(arena, order, n);
 
-  std::vector<std::vector<net::SensorId>> sets;
-  sets.reserve(member_sets.size());
-  while (!member_sets.empty()) {
-    sets.push_back(std::move(member_sets.extract(member_sets.begin()).value()));
+  // Every emitted set has size >= 2, so {i} is maximal exactly when no
+  // set holds i; singletons sort after all of them, in id order.
+  std::vector<char> in_set(n, 0);
+  for (const net::SensorId id : arena.ids) in_set[id] = 1;
+  std::vector<net::SensorId> singletons;
+  for (net::SensorId id = 0; id < n; ++id) {
+    if (in_set[id] == 0) singletons.push_back(id);
   }
-  // Canonical lexicographic order (what iterating the old std::set gave).
-  std::sort(sets.begin(), sets.end());
-
-  const std::uint64_t before_prune = sets.size();
-  if (options.prune_dominated) {
-    prune_dominated_sets(sets, n);
-  }
-  const std::uint64_t dominated_pruned = before_prune - sets.size();
+  const std::uint64_t candidate_count = maximal.size() + singletons.size();
+  const std::uint64_t dominated_pruned = n + order.size() - candidate_count;
 
   {
     static const obs::Counter calls("candidates.calls");
     static const obs::Counter emitted("candidates.sets_emitted");
+    static const obs::Counter seed("candidates.seed_pruned");
     static const obs::Counter dedup("candidates.dedup_hits");
     static const obs::Counter dominated("candidates.dominated_pruned");
     static const obs::Counter enumerated("candidates.enumerated");
     calls.add();
-    emitted.add(sets_emitted);
+    emitted.add(arena.emitted);
+    seed.add(arena.seed_pruned);
     dedup.add(dedup_hits);
     dominated.add(dominated_pruned);
-    enumerated.add(sets.size());
+    enumerated.add(candidate_count);
   }
-  span.attr("sets_emitted", sets_emitted)
+  span.attr("sets_emitted", arena.emitted)
+      .attr("seed_pruned", arena.seed_pruned)
       .attr("dedup_hits", dedup_hits)
       .attr("dominated_pruned", dominated_pruned)
-      .attr("candidates", static_cast<std::uint64_t>(sets.size()));
+      .attr("candidates", candidate_count);
 
   std::vector<Bundle> candidates;
-  candidates.reserve(sets.size());
-  for (auto& members : sets) {
-    Bundle b = make_bundle(deployment, std::move(members));
+  candidates.reserve(candidate_count);
+  for (const std::uint32_t k : maximal) {
+    const auto members = arena.set(k);
+    Bundle b = make_bundle(
+        deployment, std::vector<net::SensorId>(members.begin(), members.end()));
     // Numerical safety: the SED of an r-disk subset can exceed r only by
     // rounding; clamp is unnecessary, but assert the invariant.
     support::ensure(b.radius <= r * (1.0 + 1e-6) + 1e-9,
                     "candidate bundle exceeds the generation radius");
     candidates.push_back(std::move(b));
+  }
+  for (const net::SensorId id : singletons) {
+    candidates.push_back(make_bundle(deployment, {id}));
   }
   return candidates;
 }

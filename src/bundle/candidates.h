@@ -21,28 +21,20 @@
 
 namespace bc::bundle {
 
-struct CandidateOptions {
-  // Drop candidates whose member set is a subset of another candidate
-  // (they can never be preferred by greedy or exact cover). Deduplication
-  // of identical sets is always performed.
-  bool prune_dominated = true;
-  // Safety valve for adversarial inputs: stop after this many distinct
-  // candidates (0 = unlimited). The paper's instances stay far below it.
-  std::size_t max_candidates = 0;
-};
-
-// All maximal candidate bundles of generation radius `r` (each bundle's
-// SED radius is <= r by construction; `make_bundle` recomputes the tight
-// anchor). Singletons are always included, so a cover always exists.
-// A non-null `meter` is charged one unit per seed pair examined; when it
-// trips, enumeration stops early — the singleton floor keeps the result a
-// valid (if coarse) candidate universe. A metered call scans serially so
-// node-cap cut points are thread-count-invariant.
+// The inclusion-maximal member sets of the family {singletons} ∪ {pair-
+// circle sets} at generation radius `r`, as bundles (each SED radius is
+// <= r by construction; `make_bundle` recomputes the tight anchor),
+// ordered by (size desc, member ids lexicographically asc). A singleton
+// {i} is returned only when no pair circle holds i, so every sensor lies
+// in some candidate and a cover always exists.
+// A non-null `meter` is charged one unit per in-range seed pair; when it
+// trips, enumeration stops and the result is the maximal family of the
+// pairs scanned so far (still covering every sensor). A metered call scans
+// serially so node-cap cut points are thread-count-invariant.
 // Preconditions: r >= 0.
-std::vector<Bundle> enumerate_candidates(
-    const net::Deployment& deployment, double r,
-    const CandidateOptions& options = CandidateOptions{},
-    support::BudgetMeter* meter = nullptr);
+std::vector<Bundle> enumerate_candidates(const net::Deployment& deployment,
+                                         double r,
+                                         support::BudgetMeter* meter = nullptr);
 
 }  // namespace bc::bundle
 

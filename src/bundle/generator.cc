@@ -34,7 +34,7 @@ std::vector<Bundle> generate_bundles(const net::Deployment& deployment,
       return greedy_bundles(deployment, r, meter);
     case GeneratorKind::kExact: {
       const std::vector<Bundle> candidates =
-          enumerate_candidates(deployment, r, CandidateOptions{}, meter);
+          enumerate_candidates(deployment, r, meter);
       auto exact =
           exact_cover_anytime(deployment, candidates, options.exact, meter);
       if (exact.has_value()) return std::move(exact.value().bundles);

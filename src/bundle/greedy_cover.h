@@ -19,11 +19,24 @@
 
 namespace bc::bundle {
 
-// Greedy cover over an explicit candidate universe. Ties are broken by the
-// smaller SED radius (denser bundle), then lower first member id, making
-// the result deterministic. A non-null `meter` is charged one unit per
-// candidate scanned; when it trips, the remaining uncovered sensors are
-// finished as singleton bundles — a valid (coarser) cover, never a hang.
+// Greedy cover over an explicit candidate universe. Each round picks the
+// candidate with the most uncovered sensors; ties go to the smaller SED
+// radius (denser bundle), then the lower first member id, then the lower
+// candidate index, making the result deterministic. Gains only fall, so a
+// lazy max-heap finds each round's pick without rescanning every
+// candidate (Minoux 1978).
+//
+// Meter contract — the charges of a scan that re-evaluates every candidate
+// each round, one unit per candidate:
+// - each round first polls `check()`; a tripped meter ends the cover;
+// - a round charges candidates.size() units in one `charge`;
+// - when the node cap falls inside a round (headroom h < candidates.size()),
+//   the round charges h + 1 units, tripping the cap, and picks the best of
+//   the first h candidates; with h = 0, or no useful candidate among them,
+//   it picks nothing. The cover then ends.
+// So `nodes_used()`, the trip kind and every pick match the per-candidate
+// scan. Whatever is uncovered when the cover ends is finished as singleton
+// bundles — a valid (coarser) cover, never a hang.
 // Precondition: candidates jointly cover all sensors.
 std::vector<Bundle> greedy_cover(const net::Deployment& deployment,
                                  std::span<const Bundle> candidates,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "bundle/candidates.h"
 #include "bundle/exact_cover.h"
 #include "bundle/greedy_cover.h"
 #include "obs/metrics.h"
@@ -49,7 +50,7 @@ std::vector<Bundle> cover_subset(const net::Deployment& deployment, double r,
   // Same pair-circle scan as the full enumeration, over the sub-view; the
   // meter forces the serial path, so cut points are thread-invariant.
   const std::vector<Bundle> candidates =
-      enumerate_candidates(hole, r, options.candidates, meter);
+      enumerate_candidates(hole, r, meter);
 
   // Budgeted exact-cover/greedy ladder (the replan seed): the branch &
   // bound starts from the greedy incumbent, so a mid-search trip returns

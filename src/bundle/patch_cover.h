@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "bundle/bundle.h"
-#include "bundle/candidates.h"
 #include "net/deployment.h"
 #include "support/deadline.h"
 
@@ -33,7 +32,6 @@ struct SubsetCoverOptions {
   // candidate enumeration (charged per seed pair). A deterministic node
   // cap — not a deadline — so patched plans stay reproducible.
   std::size_t node_budget = 100'000;
-  CandidateOptions candidates{};
 };
 
 // Partition cover of `subset` with generation radius r: every subset

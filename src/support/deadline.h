@@ -23,6 +23,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -151,6 +152,13 @@ class BudgetMeter {
   bool node_budget_depleted() const {
     return trip_ == BudgetTrip::kNodeCap ||
            (node_cap_ != 0 && nodes_ >= node_cap_);
+  }
+  // Units charge() still accepts before the node cap trips: the maximum
+  // size_t without a cap, 0 at or past it. A solver that charges a whole
+  // loop in one call reads here where a per-unit loop would have tripped.
+  std::size_t node_headroom() const {
+    if (node_cap_ == 0) return std::numeric_limits<std::size_t>::max();
+    return nodes_ >= node_cap_ ? 0 : node_cap_ - nodes_;
   }
   BudgetTrip trip() const { return trip_; }
   std::size_t nodes_used() const { return nodes_; }

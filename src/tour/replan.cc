@@ -169,7 +169,6 @@ Expected<ChargingPlan> replan_tour(const net::Deployment& deployment,
       exact.max_nodes = rung.node_budget;
       const std::vector<bundle::Bundle> candidates = bundle::
           enumerate_candidates(remaining, config.bundle_radius,
-                               bundle::CandidateOptions{},
                                metered ? meter : nullptr);
       auto found = bundle::exact_cover_anytime(remaining, candidates, exact,
                                                metered ? meter : nullptr);

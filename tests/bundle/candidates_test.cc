@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "geometry/minidisk.h"
+#include "oracles/candidates_reference.h"
 #include "support/require.h"
 #include "support/rng.h"
 
@@ -26,6 +27,8 @@ net::Deployment random_deployment(std::size_t n, std::uint64_t seed,
 }
 
 TEST(CandidatesTest, SingletonsAlwaysPresent) {
+  // At r = 0 there is no pair circle, so every sensor is its own (and
+  // only) candidate.
   const net::Deployment d = random_deployment(10, 1);
   const auto candidates = enumerate_candidates(d, 0.0);
   EXPECT_EQ(candidates.size(), 10u);
@@ -90,12 +93,12 @@ TEST(CandidatesTest, CapturesEveryMaximalSubsetExhaustively) {
 
 TEST(CandidatesTest, DominatedPruningKeepsCoverageEquivalence) {
   const net::Deployment d = random_deployment(50, 5);
-  CandidateOptions no_prune;
-  no_prune.prune_dominated = false;
-  const auto all = enumerate_candidates(d, 20.0, no_prune);
+  const auto all =
+      enumerate_candidates_reference(d, 20.0, /*prune_dominated=*/false);
   const auto pruned = enumerate_candidates(d, 20.0);
-  EXPECT_LE(pruned.size(), all.size());
-  // Every unpruned candidate is a subset of some kept candidate.
+  EXPECT_LT(pruned.size(), all.size());
+  // Every set of the unpruned family is a subset of some kept candidate,
+  // and every kept candidate is a set of that family.
   for (const Bundle& b : all) {
     const bool represented = std::any_of(
         pruned.begin(), pruned.end(), [&](const Bundle& keeper) {
@@ -104,15 +107,22 @@ TEST(CandidatesTest, DominatedPruningKeepsCoverageEquivalence) {
         });
     ASSERT_TRUE(represented);
   }
+  for (const Bundle& keeper : pruned) {
+    ASSERT_TRUE(std::any_of(all.begin(), all.end(), [&](const Bundle& b) {
+      return b.members == keeper.members;
+    }));
+  }
 }
 
-TEST(CandidatesTest, MaxCandidatesCapIsRespected) {
-  const net::Deployment d = random_deployment(80, 6);
-  CandidateOptions options;
-  options.max_candidates = 100;
-  options.prune_dominated = false;
-  const auto capped = enumerate_candidates(d, 30.0, options);
-  EXPECT_LE(capped.size(), 100u);
+TEST(CandidatesTest, SingletonOnlyWhenNoPairCircleHoldsTheSensor) {
+  // Two close sensors and one far away: {0, 1} dominates both of their
+  // singletons, while sensor 2 sits in no pair circle and keeps {2}.
+  const net::Deployment d({{0.0, 0.0}, {1.0, 0.0}, {50.0, 50.0}},
+                          Box2{{0.0, 0.0}, {60.0, 60.0}}, {0.0, 0.0}, 2.0);
+  const auto candidates = enumerate_candidates(d, 1.0);
+  ASSERT_EQ(candidates.size(), 2u);
+  EXPECT_EQ(candidates[0].members, (std::vector<net::SensorId>{0, 1}));
+  EXPECT_EQ(candidates[1].members, (std::vector<net::SensorId>{2}));
 }
 
 TEST(CandidatesTest, NegativeRadiusRejected) {

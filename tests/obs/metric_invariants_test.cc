@@ -11,6 +11,7 @@
 
 #include "bundle/candidates.h"
 #include "bundle/exact_cover.h"
+#include "bundle/greedy_cover.h"
 #include "core/bundlecharge.h"
 #include "net/deployment.h"
 #include "obs/metrics.h"
@@ -68,9 +69,12 @@ TEST(MetricInvariantsTest, ExactCoverNodeCounterMatchesReturnedCount) {
 
 TEST(MetricInvariantsTest, CandidateCountersBalance) {
   // Conservation law of the enumeration pipeline: every emitted pair-set
-  // is either a dedup hit or a distinct survivor, and every survivor is
-  // either pruned as dominated or returned. So, per call:
-  //   enumerated == n + sets_emitted - dedup_hits - dominated_pruned
+  // is either dropped inside its seed (equal to or inside a same-seed
+  // set), a dedup hit or a distinct survivor, and every survivor (and
+  // every singleton) is either pruned as dominated or returned. So, per
+  // call:
+  //   enumerated == n + sets_emitted - seed_pruned - dedup_hits
+  //                   - dominated_pruned
   // and `enumerated` must equal the size of the returned pool.
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     support::set_thread_count(threads);
@@ -85,12 +89,38 @@ TEST(MetricInvariantsTest, CandidateCountersBalance) {
           << "n=" << n << " threads=" << threads;
       EXPECT_EQ(snap.counter("candidates.enumerated"),
                 n + snap.counter("candidates.sets_emitted") -
+                    snap.counter("candidates.seed_pruned") -
                     snap.counter("candidates.dedup_hits") -
                     snap.counter("candidates.dominated_pruned"))
           << "n=" << n << " threads=" << threads;
+      EXPECT_GT(snap.counter("candidates.seed_pruned"), 0u) << "n=" << n;
     }
   }
   support::set_thread_count(0);
+}
+
+TEST(MetricInvariantsTest, GreedyCoverCountersBoundTheWork) {
+  // One round per picked bundle, at least one gain evaluation per round,
+  // and at most one per live candidate per round plus the pick's own
+  // re-check — the full scan's rounds x candidates is the ceiling, and the
+  // lazy heap must stay well below it on a 1 km^2 field.
+  for (const std::size_t n : {60u, 400u}) {
+    MetricsRegistry registry;
+    ScopedMetricsRegistry scope(registry);
+    const auto deployment = make_deployment(n, 8100 + n);
+    const auto candidates =
+        bundle::enumerate_candidates(deployment, /*radius=*/60.0);
+    const auto cover = bundle::greedy_cover(deployment, candidates);
+    const MetricsSnapshot snap = registry.snapshot();
+    const std::uint64_t rounds = snap.counter("greedy_cover.rounds");
+    const std::uint64_t evals = snap.counter("greedy_cover.gain_evals");
+    EXPECT_EQ(rounds, cover.size()) << "n=" << n;
+    EXPECT_LE(rounds, evals) << "n=" << n;
+    EXPECT_LE(evals, rounds * (candidates.size() + 1)) << "n=" << n;
+    if (n >= 400) {
+      EXPECT_LT(evals * 10, rounds * candidates.size()) << "n=" << n;
+    }
+  }
 }
 
 TEST(MetricInvariantsTest, TwoOptMoveCounterConsistentWithGain) {

@@ -2,6 +2,9 @@
 
 #include "support/deadline.h"
 
+#include <cstddef>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 namespace bc::support {
@@ -48,6 +51,26 @@ TEST(BudgetMeterTest, BulkChargesCountEveryUnit) {
   EXPECT_TRUE(meter.charge(100));
   EXPECT_FALSE(meter.charge(1));
   EXPECT_EQ(meter.nodes_used(), 101u);
+}
+
+TEST(BudgetMeterTest, NodeHeadroomIsWhereAPerUnitLoopWouldTrip) {
+  BudgetMeter unlimited;
+  unlimited.charge(1000);
+  EXPECT_EQ(unlimited.node_headroom(),
+            std::numeric_limits<std::size_t>::max());
+
+  Budget budget;
+  budget.node_cap = 10;
+  BudgetMeter meter(budget);
+  EXPECT_EQ(meter.node_headroom(), 10u);
+  ASSERT_TRUE(meter.charge(7));
+  EXPECT_EQ(meter.node_headroom(), 3u);
+  // Exactly the headroom still fits; one more unit trips.
+  ASSERT_TRUE(meter.charge(3));
+  EXPECT_EQ(meter.node_headroom(), 0u);
+  EXPECT_FALSE(meter.charge());
+  EXPECT_EQ(meter.node_headroom(), 0u);
+  EXPECT_EQ(meter.trip(), BudgetTrip::kNodeCap);
 }
 
 TEST(BudgetMeterTest, TripIsSticky) {
