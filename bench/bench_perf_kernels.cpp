@@ -1,11 +1,13 @@
 // Perf-regression micro benches for the hot kernels of the planning
 // pipeline: candidate bundle enumeration, the exact-cover branch & bound,
-// Algorithm 2's greedy cover and TSP local search (2-opt / Or-opt). The
-// enumeration, exact-cover and TSP kernels are timed on uniform dense
-// deployments at n in {100, 300, 800}; the greedy cover runs monolithic
-// at the paper's density at n in {2000, 10000}. The results are written
-// as machine-readable `BENCH_<kernel>.json` files (schema: DESIGN.md §8)
-// for the CI perf-smoke job to diff against `bench/baselines/`.
+// Algorithm 2's greedy cover, TSP local search (2-opt / Or-opt) and
+// Algorithm 3's relocation. The enumeration, exact-cover and TSP kernels
+// are timed on uniform dense deployments at n in {100, 300, 800}; the
+// greedy cover runs monolithic at the paper's density at n in {2000,
+// 10000}; BC-OPT plans at the paper's density at n = 1000 in free space
+// and n = 200 in the walled waypoint world. The results are written as
+// machine-readable `BENCH_<kernel>.json` files (schema: DESIGN.md §8) for
+// the CI perf-smoke job to diff against `bench/baselines/`.
 //
 // Wall times are the minimum over --repeats runs; counters (nodes
 // expanded, candidates enumerated, gain evaluations, moves applied) are
@@ -13,11 +15,12 @@
 // case pins a node cap so before/after builds expand the same number of
 // nodes and the wall-time ratio is a pure per-node-cost comparison. The
 // greedy cover's `gain_evals` fails perf-smoke if the rounds x candidates
-// rescan comes back.
+// rescan comes back, and BC-OPT's `anchor_calls` and `radii_pruned` if
+// Algorithm 3 loses its radius pruning.
 
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -26,10 +29,13 @@
 #include "bundle/exact_cover.h"
 #include "bundle/greedy_cover.h"
 #include "core/bundlecharge.h"
+#include "fixtures/paper_world.h"
 #include "net/deployment.h"
+#include "net/metric.h"
 #include "obs/metrics.h"
 #include "support/cli.h"
 #include "support/rng.h"
+#include "tour/planner.h"
 #include "tsp/construct.h"
 #include "tsp/improve.h"
 #include "tsp/tour.h"
@@ -45,17 +51,6 @@ bc::net::Deployment make_deployment(std::size_t n, std::uint64_t seed) {
   bc::support::Rng rng(seed);
   return bc::net::uniform_random_deployment(
       n, bc::core::icdcs2019_simulation_profile().field, rng);
-}
-
-// n sensors at the paper's 200 per km^2 (field side sqrt(n / 200) km).
-bc::net::Deployment paper_density_deployment(std::size_t n,
-                                             std::uint64_t seed) {
-  const double side = 1000.0 * std::sqrt(static_cast<double>(n) / 200.0);
-  bc::net::FieldSpec spec;
-  spec.field = {{0.0, 0.0}, {side, side}};
-  spec.depot = {0.0, 0.0};
-  bc::support::Rng rng(seed);
-  return bc::net::uniform_random_deployment(n, spec, rng);
 }
 
 std::vector<Point2> random_points(std::size_t n, std::uint64_t seed) {
@@ -120,7 +115,7 @@ void bench_greedy_cover(const std::string& out_dir, std::size_t repeats,
         "greedy_cover.gain_evals");
   };
   for (const std::size_t n : {std::size_t{2000}, std::size_t{10000}}) {
-    const auto d = paper_density_deployment(n, 3000 + n);
+    const auto d = bc::fixtures::paper_deployment(n, 3000 + n);
     const auto candidates = bc::bundle::enumerate_candidates(d, kRadius);
     std::vector<bc::bundle::Bundle> cover;
     const std::uint64_t evals_before = gain_evals();
@@ -132,6 +127,39 @@ void bench_greedy_cover(const std::string& out_dir, std::size_t repeats,
                  static_cast<std::int64_t>((gain_evals() - evals_before) /
                                            repeats))
         .counter("candidates", static_cast<std::int64_t>(candidates.size()));
+  }
+  reporter.write(out_dir, threads);
+}
+
+void bench_bc_opt_relocate(const std::string& out_dir, std::size_t repeats,
+                           std::size_t threads) {
+  bc::bench::BenchReporter reporter("bc_opt_relocate");
+  const auto counter = [](const char* name) {
+    return bc::obs::global_metrics().snapshot().counter(name);
+  };
+  for (const bool walled : {false, true}) {
+    const std::size_t n = walled ? 200 : 1000;
+    const auto d = bc::fixtures::paper_deployment(n, 4000 + n);
+    bc::tour::PlannerConfig config =
+        bc::core::icdcs2019_simulation_profile().planner;
+    config.bundle_radius = kRadius;
+    if (walled) {
+      config.metric = std::make_shared<const bc::net::GraphMetric>(
+          bc::fixtures::obstacle_world(bc::fixtures::field_side_m(n)));
+    }
+    bc::tour::ChargingPlan plan;
+    const std::uint64_t calls_before = counter("anchor.calls");
+    const std::uint64_t pruned_before = counter("bc_opt.radii_pruned");
+    auto& timed = reporter.time_case(
+        (walled ? "walled/" : "euclid/") + case_name(n), repeats,
+        [&] { plan = bc::tour::plan_bc_opt(d, config); });
+    const auto per_plan = [&](const char* name, std::uint64_t before) {
+      return static_cast<std::int64_t>((counter(name) - before) / repeats);
+    };
+    timed.counter("anchor_calls", per_plan("anchor.calls", calls_before))
+        .counter("radii_pruned",
+                 per_plan("bc_opt.radii_pruned", pruned_before))
+        .counter("stops", static_cast<std::int64_t>(plan.stops.size()));
   }
   reporter.write(out_dir, threads);
 }
@@ -188,6 +216,7 @@ int main(int argc, char** argv) {
   bench_candidates(out_dir, repeats, threads);
   bench_exact_cover(out_dir, repeats, threads);
   bench_greedy_cover(out_dir, repeats, threads);
+  bench_bc_opt_relocate(out_dir, repeats, threads);
   bench_tsp_improve(out_dir, repeats, threads);
   return 0;
 }

@@ -1,5 +1,7 @@
 #include "geometry/anchor_search.h"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <numbers>
 
@@ -11,9 +13,36 @@ namespace bc::geometry {
 
 namespace {
 
+// Coarse samples that bracket the optimum before the bisection refines it.
+// 32 is ample: the objective has at most two local minima on the circle.
+constexpr std::size_t kCoarseSamples = 32;
+constexpr double kCoarseStep =
+    2.0 * std::numbers::pi / static_cast<double>(kCoarseSamples);
+// The refinement stops when the angular bracket is below this (radians).
+constexpr double kAngleTolerance = 1e-10;
+
 Point2 on_circle(Point2 center, double radius, double theta) {
   return {center.x + radius * std::cos(theta),
           center.y + radius * std::sin(theta)};
+}
+
+// (cos, sin) of every coarse sample angle, evaluated once with the very
+// expressions on_circle applies to them, so each sample point keeps the
+// bits a per-call evaluation gives. The step is read from a static
+// volatile so that the run-time libm computes them, as it does per call,
+// and the compiler cannot fold them with its own correctly rounded
+// arithmetic (a const volatile local does not stop GCC from folding).
+const std::array<Point2, kCoarseSamples>& coarse_directions() {
+  static const std::array<Point2, kCoarseSamples> directions = [] {
+    static const volatile double step = kCoarseStep;
+    std::array<Point2, kCoarseSamples> out;
+    for (std::size_t i = 0; i < kCoarseSamples; ++i) {
+      const double theta = step * static_cast<double>(i);
+      out[i] = {std::cos(theta), std::sin(theta)};
+    }
+    return out;
+  }();
+  return directions;
 }
 
 // Derivative of theta -> |A P(theta)| + |P(theta) B| (up to the positive
@@ -40,13 +69,31 @@ double bisector_residual(Point2 a, Point2 b, Point2 center, Point2 p) {
   return w.dot(u) - w.dot(v);
 }
 
+CircleDetourBound::CircleDetourBound(Point2 a, Point2 b, Point2 center)
+    : chord_(distance(a, b)),
+      at_center_(focal_sum(a, b, center)),
+      slope_(2.0),
+      offset_(std::abs(center.x) + std::abs(center.y)) {
+  const double to_a = distance(center, a);
+  const double to_b = distance(center, b);
+  if (to_a > 0.0 && to_b > 0.0) {
+    // |grad f| <= 2; std::min also maps a NaN norm to 2.
+    slope_ = std::min(2.0, ((center - a) / to_a + (center - b) / to_b).norm());
+  }
+}
+
+double CircleDetourBound::at(double radius) const {
+  // 2^-40 of the scale is about 8000 units of roundoff; DESIGN.md §8
+  // needs under 40 of them for the bound's and the point's own rounding.
+  constexpr double kSlack = 0x1p-40;
+  const double bound = std::max(chord_, at_center_ - radius * slope_);
+  return bound - kSlack * (at_center_ + 2.0 * radius + offset_);
+}
+
 AnchorSearchResult optimal_point_on_circle(Point2 a, Point2 b, Point2 center,
-                                           double radius,
-                                           const AnchorSearchOptions& options) {
+                                           double radius) {
   bc::support::require(radius >= 0.0,
                        "optimal_point_on_circle needs radius >= 0");
-  bc::support::require(options.coarse_samples >= 4,
-                       "need at least 4 coarse samples");
   if (radius == 0.0) {
     return AnchorSearchResult{center, focal_sum(a, b, center)};
   }
@@ -54,16 +101,18 @@ AnchorSearchResult optimal_point_on_circle(Point2 a, Point2 b, Point2 center,
   // Coarse scan: find the best sampled angle. The objective is smooth with
   // at most two local minima, so the global optimum lies within one sample
   // step of the best sample.
-  const double two_pi = 2.0 * std::numbers::pi;
-  const double step = two_pi / static_cast<double>(options.coarse_samples);
+  const auto& directions = coarse_directions();
+  const auto sample = [&](std::size_t i) {
+    return Point2{center.x + radius * directions[i].x,
+                  center.y + radius * directions[i].y};
+  };
   double best_theta = 0.0;
-  double best_value = focal_sum(a, b, on_circle(center, radius, 0.0));
-  for (std::size_t i = 1; i < options.coarse_samples; ++i) {
-    const double theta = step * static_cast<double>(i);
-    const double value = focal_sum(a, b, on_circle(center, radius, theta));
+  double best_value = focal_sum(a, b, sample(0));
+  for (std::size_t i = 1; i < kCoarseSamples; ++i) {
+    const double value = focal_sum(a, b, sample(i));
     if (value < best_value) {
       best_value = value;
-      best_theta = theta;
+      best_theta = kCoarseStep * static_cast<double>(i);
     }
   }
 
@@ -72,8 +121,8 @@ AnchorSearchResult optimal_point_on_circle(Point2 a, Point2 b, Point2 center,
   // derivative realises the paper's O(log h) search of Theorem 5; if the
   // derivative does not bracket a root (flat/degenerate geometry, e.g.
   // A == B == center), fall back to golden-section on the objective.
-  double lo = best_theta - step;
-  double hi = best_theta + step;
+  double lo = best_theta - kCoarseStep;
+  double hi = best_theta + kCoarseStep;
   const double d_lo = detour_derivative(a, b, center, radius, lo);
   const double d_hi = detour_derivative(a, b, center, radius, hi);
 
@@ -84,7 +133,7 @@ AnchorSearchResult optimal_point_on_circle(Point2 a, Point2 b, Point2 center,
   const bool bracketed = d_lo < 0.0 && d_hi > 0.0;
   double theta = best_theta;
   if (bracketed) {
-    while (hi - lo > options.angle_tolerance) {
+    while (hi - lo > kAngleTolerance) {
       ++bisection_iters;
       const double mid = (lo + hi) / 2.0;
       if (detour_derivative(a, b, center, radius, mid) < 0.0) {
@@ -100,7 +149,7 @@ AnchorSearchResult optimal_point_on_circle(Point2 a, Point2 b, Point2 center,
     double x2 = lo + kInvPhi * (hi - lo);
     double f1 = focal_sum(a, b, on_circle(center, radius, x1));
     double f2 = focal_sum(a, b, on_circle(center, radius, x2));
-    while (hi - lo > options.angle_tolerance) {
+    while (hi - lo > kAngleTolerance) {
       ++golden_iters;
       if (f1 <= f2) {
         hi = x2;

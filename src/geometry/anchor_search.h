@@ -11,7 +11,9 @@
 //
 // We expose both the production search (coarse angular scan to bracket the
 // bisector-condition sign change, then bisection on the derivative) and a
-// brute-force reference used by tests.
+// brute-force reference used by tests, plus a certified lower bound on the
+// detour over a whole circle that lets Algorithm 3 skip radii whose search
+// cannot win.
 
 #ifndef BUNDLECHARGE_GEOMETRY_ANCHOR_SEARCH_H_
 #define BUNDLECHARGE_GEOMETRY_ANCHOR_SEARCH_H_
@@ -27,29 +29,41 @@ struct AnchorSearchResult {
   double detour = 0;  // |A point| + |point B|
 };
 
-struct AnchorSearchOptions {
-  // Number of coarse samples used to bracket the optimum before the
-  // bisection refinement. 32 is ample: the objective has at most two local
-  // minima on the circle.
-  std::size_t coarse_samples = 32;
-  // Bisection terminates when the angular bracket is below this (radians).
-  double angle_tolerance = 1e-10;
-};
-
 // Minimises |A P| + |P B| over P on the circle centred at `center` with
 // radius `radius`. Preconditions: radius >= 0. When radius == 0 the answer
 // is `center` itself. Works for any placement of A/B including A == B and
 // foci inside the circle.
 AnchorSearchResult optimal_point_on_circle(Point2 a, Point2 b, Point2 center,
-                                           double radius,
-                                           const AnchorSearchOptions& options =
-                                               AnchorSearchOptions{});
+                                           double radius);
 
 // O(h) reference: evaluates `samples` evenly spaced angles and returns the
 // best. Used by property tests to validate the bisection search.
 AnchorSearchResult optimal_point_on_circle_brute(Point2 a, Point2 b,
                                                  Point2 center, double radius,
                                                  std::size_t samples = 20000);
+
+// A lower bound on |A P| + |P B| over the circle |P - center| = d, for
+// every d >= 0 at once (DESIGN.md §8, "Algorithm 3: certified radius
+// pruning"). The focal sum f is convex, so on that circle
+//   f(P) >= max(|AB|, f(center) - d |grad f(center)|),
+// with 2 (f's Lipschitz constant) in place of |grad f| at a focus, where f
+// has a kink. at(d) subtracts a slack of 2^-40 of a scale that dominates
+// every rounded term, so it is at most the computed detour of every point
+// optimal_point_on_circle or optimal_point_on_circle_brute returns for
+// radius d, and below it by at least 2^-41 of its own magnitude: room for
+// a caller's own roundings.
+class CircleDetourBound {
+ public:
+  CircleDetourBound(Point2 a, Point2 b, Point2 center);
+
+  double at(double radius) const;
+
+ private:
+  double chord_;      // |AB|
+  double at_center_;  // f(center)
+  double slope_;      // |grad f(center)|, or 2 at a focus
+  double offset_;     // |center.x| + |center.y|
+};
 
 // Theorem 5 residual: difference of cosines between the inward radius
 // direction and the two focal directions at P (zero when CP bisects ∠APB).

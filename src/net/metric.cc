@@ -78,6 +78,7 @@ GraphMetric::GraphMetric(WaypointGraph graph, GraphMetricOptions options)
                      "waypoint coordinates must be finite");
   }
   std::vector<std::uint32_t> degree(n, 0);
+  double ratio = 1.0;
   for (const auto& e : graph_.edges) {
     support::require(e.u < n && e.v < n, "edge endpoint out of range");
     support::require(e.u != e.v, "self-loop edge");
@@ -85,7 +86,15 @@ GraphMetric::GraphMetric(WaypointGraph graph, GraphMetricOptions options)
                      "edge weight must be finite and positive");
     ++degree[e.u];
     ++degree[e.v];
+    const double chord =
+        geometry::distance(graph_.nodes[e.u], graph_.nodes[e.v]);
+    if (chord > 0.0) ratio = std::min(ratio, e.weight / chord);
   }
+  // A route sums at most n - 1 edge weights plus two access legs; this
+  // factor covers those sums, the rounded ratios and the caller's rounded
+  // chord (DESIGN.md §15), so the promise holds for computed values.
+  const double rounding = 1.0 - static_cast<double>(n + 16) * 0x1p-52;
+  min_chord_ratio_ = std::max(0.0, ratio * rounding);
   adj_start_.assign(n + 1, 0);
   for (std::uint32_t i = 0; i < n; ++i) {
     adj_start_[i + 1] = adj_start_[i] + degree[i];

@@ -87,6 +87,14 @@ class MetricSpace {
   virtual void distances_from(geometry::Point2 a,
                               std::span<const geometry::Point2> targets,
                               std::span<double> out) const;
+
+  // A promise about every value distance() returns: for all finite a, b,
+  //   distance(a, b) >= min_chord_ratio() * geometry::distance(a, b),
+  // with both sides the doubles actually computed (the product taken
+  // exactly). Lies in [0, 1]. The default 0 promises nothing, which is
+  // always true; planners use the promise only to prune work, never to
+  // change an answer (BC-OPT's radius pruning, DESIGN.md §8).
+  virtual double min_chord_ratio() const { return 0.0; }
 };
 
 // Bit-exact free-space distance. Hot paths use metric_distance() below
@@ -100,6 +108,7 @@ class EuclideanMetric final : public MetricSpace {
   double distance(geometry::Point2 a, geometry::Point2 b) const override {
     return geometry::distance(a, b);
   }
+  double min_chord_ratio() const override { return 1.0; }
   // One virtual call per batch rather than per target, so a distance
   // table filled through this object costs what the null path costs.
   void distances_from(geometry::Point2 a,
@@ -116,9 +125,15 @@ inline double metric_distance(const MetricSpace* metric, geometry::Point2 a,
   return metric == nullptr ? geometry::distance(a, b) : metric->distance(a, b);
 }
 
+// The metric's min_chord_ratio(); the null metric's is 1.
+inline double metric_chord_ratio(const MetricSpace* metric) {
+  return metric == nullptr ? 1.0 : metric->min_chord_ratio();
+}
+
 // An undirected waypoint edge. Endpoints index WaypointGraph::nodes;
 // weight is the traversal cost in metres (>= the chord length for a
-// physical road, but any positive finite value is accepted).
+// physical road, but any positive finite value is accepted; a lighter
+// edge lowers the metric's min_chord_ratio()).
 struct GraphEdge {
   std::uint32_t u = 0;
   std::uint32_t v = 0;
@@ -164,6 +179,11 @@ class GraphMetric final : public MetricSpace {
   double distance(geometry::Point2 a, geometry::Point2 b) const override;
   void path(geometry::Point2 a, geometry::Point2 b,
             std::vector<geometry::Point2>& out) const override;
+  // min(1, min over edges of weight / chord), computed at construction and
+  // shrunk by the rounding of a route's sums (DESIGN.md §15): visible
+  // pairs travel the chord, and a route is a polyline whose graph part
+  // weighs at least this share of its chords.
+  double min_chord_ratio() const override { return min_chord_ratio_; }
 
   const WaypointGraph& graph() const { return graph_; }
   std::size_t node_count() const { return graph_.nodes.size(); }
@@ -214,6 +234,7 @@ class GraphMetric final : public MetricSpace {
 
   WaypointGraph graph_;
   GraphMetricOptions options_;
+  double min_chord_ratio_ = 0.0;
 
   // CSR adjacency: neighbours of node n are adj_nodes_[adj_start_[n] ..
   // adj_start_[n + 1]), sorted ascending for deterministic relaxation.

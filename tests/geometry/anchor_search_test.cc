@@ -1,15 +1,20 @@
 // Tests for the Theorem 4/5 anchor search: the bisection search must match
-// a dense brute-force scan, and the optimum must satisfy the bisector
-// property of Theorem 5 and the ellipse-tangency property of Theorem 4.
+// a dense brute-force scan and, bit for bit, the search that evaluates its
+// coarse samples per call (tests/oracles/anchor_search_reference), and the
+// optimum must satisfy the bisector property of Theorem 5 and the
+// ellipse-tangency property of Theorem 4.
 
 #include "geometry/anchor_search.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
 #include "geometry/ellipse.h"
 #include "geometry/segment.h"
+#include "oracles/anchor_search_reference.h"
 #include "support/require.h"
 #include "support/rng.h"
 
@@ -91,6 +96,30 @@ TEST_P(AnchorSearchPropertyTest, MatchesBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AnchorSearchPropertyTest,
                          ::testing::Range(0, 8));
+
+TEST(AnchorSearchTest, TabledSamplesKeepEveryBit) {
+  // The coarse scan reads cos and sin from a table built once; the oracle
+  // evaluates them per call. Points and detours must agree exactly, from
+  // the origin to 10^6 m away and from sub-millimetre to kilometre radii.
+  support::Rng rng(1234);
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (int trial = 0; trial < 3000; ++trial) {
+    const double shift = trial % 3 == 0 ? 1e6 : 0.0;
+    const auto point = [&] {
+      return Point2{shift + rng.uniform(-500, 500),
+                    shift + rng.uniform(-500, 500)};
+    };
+    const Point2 a = point();
+    const Point2 b = trial % 7 == 0 ? a : point();
+    const Point2 center = trial % 11 == 0 ? b : point();
+    const double radius = std::pow(10.0, rng.uniform(-4.0, 3.0));
+    const auto got = optimal_point_on_circle(a, b, center, radius);
+    const auto want = optimal_point_on_circle_reference(a, b, center, radius);
+    ASSERT_EQ(bits(got.point.x), bits(want.point.x)) << "trial " << trial;
+    ASSERT_EQ(bits(got.point.y), bits(want.point.y)) << "trial " << trial;
+    ASSERT_EQ(bits(got.detour), bits(want.detour)) << "trial " << trial;
+  }
+}
 
 TEST(AnchorSearchTheoremTest, OptimumSatisfiesBisectorProperty) {
   // Theorem 5: at the optimum P, the radius CP bisects angle A-P-B —

@@ -115,6 +115,7 @@ TEST(GoldenTraceTest, JournalCoversTheSolverLadder) {
       "\"name\": \"exact_cover.search\"",
       "\"name\": \"tsp.two_opt\"",
       "\"name\": \"tsp.or_opt\"",
+      "\"name\": \"tour.relocate\"",
   };
   for (const std::string& needle : expected) {
     EXPECT_NE(captured.trace_jsonl.find(needle), std::string::npos)

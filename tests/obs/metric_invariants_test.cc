@@ -13,11 +13,13 @@
 #include "bundle/exact_cover.h"
 #include "bundle/greedy_cover.h"
 #include "core/bundlecharge.h"
+#include "fixtures/paper_world.h"
 #include "net/deployment.h"
 #include "obs/metrics.h"
 #include "oracles/improve_reference.h"
 #include "support/parallel.h"
 #include "support/rng.h"
+#include "tour/planner.h"
 #include "tsp/construct.h"
 #include "tsp/improve.h"
 #include "tsp/tour.h"
@@ -200,6 +202,26 @@ TEST(MetricInvariantsTest, DemandCheckSumsBetweenOneAndEverySensor) {
       EXPECT_GE(sums, 1u) << "n=" << n;
       EXPECT_LE(sums, n) << "n=" << n;
     }
+  }
+}
+
+TEST(MetricInvariantsTest, RelocationSearchesAreTheRadiiNotPruned) {
+  // Algorithm 3 runs one anchor search per displacement radius k >= 1 of
+  // each stop it evaluates, unless the radius's certified bound prices it
+  // out first; BC's own stages run none. At paper density the bound must
+  // actually prune.
+  for (const std::size_t n : {60u, 200u}) {
+    MetricsRegistry registry;
+    ScopedMetricsRegistry scope(registry);
+    tour::PlannerConfig config = core::icdcs2019_simulation_profile().planner;
+    config.bundle_radius = 60.0;
+    tour::plan_bc_opt(fixtures::paper_deployment(n, 6100 + n), config);
+    const MetricsSnapshot snap = registry.snapshot();
+    const std::uint64_t radii = snap.counter("bc_opt.radii");
+    const std::uint64_t pruned = snap.counter("bc_opt.radii_pruned");
+    EXPECT_EQ(snap.counter("anchor.calls"), radii - pruned) << "n=" << n;
+    EXPECT_GT(pruned, 0u) << "n=" << n;
+    EXPECT_LT(pruned, radii) << "n=" << n;
   }
 }
 
