@@ -14,7 +14,7 @@
 // baseline (exact counter equality + wall-time threshold); the n=100k tier
 // runs in the manually-triggered / nightly `scale` workflow. The
 // --plan-out / --metrics-out / --trace-out outputs are the byte-identity
-// artifacts the simd-matrix job diffs across BC_SIMD legs.
+// artifacts CI diffs across --threads values.
 //
 // Memory reporting: deterministic high-water gauges (exact_cover arena
 // words, shard tile sizes, trace buffers) travel in the observability
@@ -41,7 +41,6 @@
 #include "sim/evaluate.h"
 #include "support/cli.h"
 #include "support/rng.h"
-#include "support/simd.h"
 #include "tour/plan.h"
 #include "tour/planner.h"
 
@@ -112,13 +111,9 @@ int main(int argc, char** argv) {
   flags.define_int("threads", 1,
                    "worker threads (0 = BC_THREADS env or hardware); "
                    "results are identical at every thread count");
-  flags.define_string("simd", "",
-                      "kernel ISA: scalar | avx2 | neon | auto (empty = "
-                      "BC_SIMD env, else auto); unsupported falls back to "
-                      "scalar");
   flags.define_string("plan-out", "",
-                      "write the planned tour as JSON to this path (the "
-                      "byte-identity artifact for the simd-matrix job)");
+                      "write the planned tour as JSON to this path (a "
+                      "byte-identity artifact across thread counts)");
   flags.define_string("metric", "euclid",
                       "movement metric: euclid | graph (zero-obstacle "
                       "waypoint grid over the field; exercises GraphMetric "
@@ -127,20 +122,6 @@ int main(int argc, char** argv) {
   if (!flags.parse(argc, argv, std::cerr)) return 2;
   if (flags.help_requested()) return 0;
   bc::bench::ObsControl obs(flags);
-
-  const std::string simd_flag = flags.get_string("simd");
-  if (!simd_flag.empty()) {
-    bc::support::simd::Isa requested;
-    if (!bc::support::simd::parse_isa(simd_flag, requested)) {
-      std::cerr << "--simd must be scalar, avx2, neon, or auto; got '"
-                << simd_flag << "'\n";
-      return 2;
-    }
-    bc::support::simd::set_isa(requested);
-  }
-  std::cout << "simd isa: "
-            << bc::support::simd::to_string(bc::support::simd::active_isa())
-            << "\n";
 
   const auto threads = static_cast<std::size_t>(flags.get_int("threads"));
   bc::support::set_thread_count(threads);

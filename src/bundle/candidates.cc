@@ -140,8 +140,8 @@ void enumerate_seeded_at(std::span<const Point2> positions,
           geometry::circles_through_pair(positions[i], positions[j], r);
       if (!centers.has_value()) continue;
       for (const Point2 center : {centers->first, centers->second}) {
-        // The membership test of support::simd::filter_within's scalar
-        // oracle, so every set has the bits the id-list scan gave.
+        // The exact distance test of an id-list membership scan, so every
+        // set has the bits that scan gave.
         std::size_t size = 0;
         for (std::size_t w = 0; w < words; ++w) {
           std::uint64_t bits = 0;

@@ -12,7 +12,6 @@
 #include "obs/trace.h"
 #include "support/parallel.h"
 #include "support/require.h"
-#include "support/simd.h"
 
 namespace bc::bundle {
 
@@ -34,11 +33,29 @@ inline std::size_t first_set_bit(const std::uint64_t* w, std::size_t words) {
   return 0;
 }
 
-// Word-level set kernels live behind the runtime ISA dispatch in
-// support/simd.h; every ISA returns exact integer counts, so the search is
-// bit-identical under BC_SIMD=scalar|avx2|neon.
-using support::simd::intersect_count;
-using support::simd::subtract_and_count;
+// Fused dst = src & ~mask over `words` words, returning popcount(src &
+// mask) (the number of bits cleared).
+inline std::size_t subtract_and_count(std::uint64_t* dst,
+                                      const std::uint64_t* src,
+                                      const std::uint64_t* mask,
+                                      std::size_t words) {
+  std::size_t cleared = 0;
+  for (std::size_t i = 0; i < words; ++i) {
+    cleared += static_cast<std::size_t>(std::popcount(src[i] & mask[i]));
+    dst[i] = src[i] & ~mask[i];
+  }
+  return cleared;
+}
+
+inline std::size_t intersect_count(const std::uint64_t* a,
+                                   const std::uint64_t* b,
+                                   std::size_t words) {
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < words; ++i) {
+    total += static_cast<std::size_t>(std::popcount(a[i] & b[i]));
+  }
+  return total;
+}
 
 // Candidate masks plus the inverted pivot -> candidate index: for each
 // sensor, the ascending-id list of candidates containing it (CSR layout).

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "support/require.h"
-#include "support/simd.h"
 
 namespace bc::net {
 
@@ -40,7 +39,7 @@ SpatialIndex::SpatialIndex(std::span<const Point2> positions, double cell_size)
     cell_items_[cursor[cell_of(positions_[i])]++] =
         static_cast<SensorId>(i);
   }
-  // SoA shadow of cell_items_ for the vectorised row scans.
+  // SoA shadow of cell_items_ for the contiguous row scans.
   item_xs_.resize(cell_items_.size());
   item_ys_.resize(cell_items_.size());
   for (std::size_t i = 0; i < cell_items_.size(); ++i) {
@@ -98,10 +97,11 @@ void SpatialIndex::within(Point2 query, double radius,
         cell_start_[row + static_cast<std::size_t>(gx_lo)];
     const std::uint32_t end =
         cell_start_[row + static_cast<std::size_t>(gx_hi) + 1];
-    support::simd::filter_within(item_xs_.data() + begin,
-                                 item_ys_.data() + begin,
-                                 cell_items_.data() + begin, end - begin,
-                                 query.x, query.y, r2, out);
+    for (std::uint32_t i = begin; i < end; ++i) {
+      const double dx = item_xs_[i] - query.x;
+      const double dy = item_ys_[i] - query.y;
+      if (dx * dx + dy * dy <= r2) out.push_back(cell_items_[i]);
+    }
   }
   std::sort(out.begin(), out.end());
 }

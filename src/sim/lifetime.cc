@@ -205,11 +205,9 @@ support::Expected<FaultLifetimeStats> simulate_lifetime_with_faults(
   const FaultModel faults(deployment, fault_config);
 
   ExecutorConfig executor = config.executor;
-  if (config.sync_executor_models) {
-    executor.charging = config.base.evaluation.charging;
-    executor.movement = config.base.evaluation.movement;
-    executor.planner = config.base.planner;
-  }
+  executor.charging = config.base.evaluation.charging;
+  executor.movement = config.base.evaluation.movement;
+  executor.planner = config.base.planner;
 
   const double capacity = config.base.battery_capacity_j;
   const double trigger_level = config.base.trigger_fraction * capacity;

@@ -93,11 +93,9 @@ double max_sustainable_drain_w(const net::Deployment& deployment,
 struct FaultLifetimeConfig {
   LifetimeConfig base;
   FaultConfig faults;
+  // Its charging, movement and planner models are replaced by base's, so
+  // planning, execution and replanning share one physics.
   ExecutorConfig executor;
-  // Copy base.planner / base.evaluation models into the executor config so
-  // planning, execution, and replanning share one physics. Set false only
-  // to deliberately mismatch them.
-  bool sync_executor_models = true;
   // Wall time the charger waits before re-triggering after a mission that
   // made no progress (e.g. immediate battery shortfall); bounds the loop.
   double recovery_wait_s = 600.0;

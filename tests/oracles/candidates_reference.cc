@@ -9,7 +9,6 @@
 #include "geometry/circle.h"
 #include "net/spatial_index.h"
 #include "support/require.h"
-#include "support/simd.h"
 
 namespace bc::bundle {
 
@@ -65,8 +64,8 @@ bool enumerate_seeded_at(std::span<const Point2> positions,
   std::vector<net::SensorId> near_i;
   std::vector<net::SensorId> members;
   // SoA shadow of the pool: the per-circle membership scan is a streaming
-  // distance filter (support::simd) instead of an id-indirected gather,
-  // and it runs twice per in-range pair.
+  // distance filter instead of an id-indirected gather, and it runs twice
+  // per in-range pair.
   std::vector<double> pool_xs;
   std::vector<double> pool_ys;
   for (std::size_t i = begin; i < end; ++i) {
@@ -90,11 +89,13 @@ bool enumerate_seeded_at(std::span<const Point2> positions,
       if (!centers.has_value()) continue;
       for (const Point2 center : {centers->first, centers->second}) {
         members.clear();
-        // near_i is id-sorted and filter_within appends in scan order, so
+        // near_i is id-sorted and the scan appends in pool order, so
         // members comes out id-sorted too.
-        support::simd::filter_within(pool_xs.data(), pool_ys.data(),
-                                     near_i.data(), near_i.size(), center.x,
-                                     center.y, member_r2, members);
+        for (std::size_t t = 0; t < near_i.size(); ++t) {
+          const double dx = pool_xs[t] - center.x;
+          const double dy = pool_ys[t] - center.y;
+          if (dx * dx + dy * dy <= member_r2) members.push_back(near_i[t]);
+        }
         if (members.size() < 2) continue;
         if (!emit(members)) return false;
       }

@@ -193,6 +193,37 @@ TEST(ExactCoverDifferentialTest, MatchesNaiveReferenceAcrossThreadCounts) {
   support::set_thread_count(1);
 }
 
+// The corpus above fits one 64-bit word. n = 520 and 700 span 9 and 11
+// words, so the word loops (pivot search, intersect and subtract counts)
+// run across word boundaries and over tails that shrink with the pivot.
+// Every cap is budgeted, so the search is serial and node counts compare.
+TEST(ExactCoverDifferentialTest, MultiWordInstancesMatchNaiveReference) {
+  constexpr double kRadius = 60.0;
+  constexpr std::size_t kSizes[] = {520, 700};
+  constexpr std::size_t kCaps[] = {3, 40, 400};
+  for (const std::size_t n : kSizes) {
+    for (std::uint64_t seed = 0; seed < 3; ++seed) {
+      const auto deployment = make_deployment(n, 4100 + 31 * n + seed);
+      const auto candidates = enumerate_candidates(deployment, kRadius);
+      for (const std::size_t cap : kCaps) {
+        const RefResult expected =
+            reference_cover(deployment, candidates, cap);
+        ExactCoverOptions options;
+        options.max_nodes = cap;
+        const auto got = exact_cover_anytime(deployment, candidates, options);
+        ASSERT_TRUE(got.has_value());
+        const CoverSolution& solution = got.value();
+        ASSERT_EQ(bundle_members(solution.bundles), expected.cover)
+            << "n=" << n << " seed=" << seed << " cap=" << cap;
+        ASSERT_EQ(solution.optimal, expected.optimal)
+            << "n=" << n << " seed=" << seed << " cap=" << cap;
+        ASSERT_EQ(solution.nodes_expanded, expected.nodes)
+            << "n=" << n << " seed=" << seed << " cap=" << cap;
+      }
+    }
+  }
+}
+
 // The optimal covers must also be genuinely minimal: no smaller cover
 // exists (cross-check via the reference with the bound lowered).
 TEST(ExactCoverDifferentialTest, OptimalCoversAreMinimumCardinality) {
