@@ -97,6 +97,7 @@ int main(int argc, char** argv) {
                       "this factor of the null-metric fast path");
   if (!flags.parse(argc, argv, std::cerr)) return 2;
   if (flags.help_requested()) return 0;
+  bc::bench::ensure_out_dir(flags.get_string("out-dir"));
 
   const auto n = static_cast<std::size_t>(flags.get_int("n"));
   const auto repeats = static_cast<std::size_t>(flags.get_int("repeats"));

@@ -1,13 +1,15 @@
 // Perf-regression micro benches for the hot kernels of the planning
 // pipeline: candidate bundle enumeration, the exact-cover branch & bound,
-// Algorithm 2's greedy cover, TSP local search (2-opt / Or-opt) and
-// Algorithm 3's relocation. The enumeration, exact-cover and TSP kernels
-// are timed on uniform dense deployments at n in {100, 300, 800}; the
-// greedy cover runs monolithic at the paper's density at n in {2000,
-// 10000}; BC-OPT plans at the paper's density at n = 1000 in free space
-// and n = 200 in the walled waypoint world. The results are written as
-// machine-readable `BENCH_<kernel>.json` files (schema: DESIGN.md §8) for
-// the CI perf-smoke job to diff against `bench/baselines/`.
+// Algorithm 2's greedy cover, TSP local search (2-opt / Or-opt), the TSP
+// solve over BC's stops and Algorithm 3's relocation. The enumeration,
+// exact-cover and TSP local-search kernels are timed on uniform dense
+// deployments at n in {100, 300, 800}; the greedy cover runs monolithic at
+// the paper's density at n in {2000, 10000}; BC-OPT plans at the paper's
+// density at n = 1000 in free space and n = 200 in the walled waypoint
+// world; solve_tsp orders BC's stops at the paper's density at n = 1000
+// and 2000. The results are written as machine-readable
+// `BENCH_<kernel>.json` files (schema: DESIGN.md §8) for the CI
+// perf-smoke job to diff against `bench/baselines/`.
 //
 // Wall times are the minimum over --repeats runs; counters (nodes
 // expanded, candidates enumerated, gain evaluations, moves applied) are
@@ -15,8 +17,9 @@
 // case pins a node cap so before/after builds expand the same number of
 // nodes and the wall-time ratio is a pure per-node-cost comparison. The
 // greedy cover's `gain_evals` fails perf-smoke if the rounds x candidates
-// rescan comes back, and BC-OPT's `anchor_calls` and `radii_pruned` if
-// Algorithm 3 loses its radius pruning.
+// rescan comes back, BC-OPT's `anchor_calls` and `radii_pruned` if
+// Algorithm 3 loses its radius pruning, and the TSP solve's
+// `certify_rows` if Or-opt certification rescans rows it could settle.
 
 #include <cstddef>
 #include <cstdint>
@@ -38,6 +41,7 @@
 #include "tour/planner.h"
 #include "tsp/construct.h"
 #include "tsp/improve.h"
+#include "tsp/solver.h"
 #include "tsp/tour.h"
 
 namespace {
@@ -193,6 +197,43 @@ void bench_tsp_improve(const std::string& out_dir, std::size_t repeats,
   reporter.write(out_dir, threads);
 }
 
+// BC's tour solve alone: solve_tsp over the depot and BC's stops at the
+// paper's density, as plan_bc orders them. `certify_rows` counts the
+// Or-opt certification rows scanned in full rather than settled from a
+// record; it fails perf-smoke if certification goes back to full sweeps.
+void bench_tsp_solve(const std::string& out_dir, std::size_t repeats,
+                     std::size_t threads) {
+  bc::bench::BenchReporter reporter("tsp_solve");
+  const auto counter = [](const char* name) {
+    return bc::obs::global_metrics().snapshot().counter(name);
+  };
+  for (const std::size_t n : {std::size_t{1000}, std::size_t{2000}}) {
+    const auto d = bc::fixtures::paper_deployment(n, 5000 + n);
+    bc::tour::PlannerConfig config =
+        bc::core::icdcs2019_simulation_profile().planner;
+    config.bundle_radius = kRadius;
+    std::vector<Point2> points{d.depot()};
+    for (const auto& stop : bc::tour::plan_bc(d, config).stops) {
+      points.push_back(stop.position);
+    }
+    bc::tsp::Tour tour;
+    const std::uint64_t moves_before = counter("tsp.or_opt.moves");
+    const std::uint64_t rows_before = counter("tsp.or_opt.certify_rows");
+    auto& timed = reporter.time_case(case_name(n), repeats, [&] {
+      tour = bc::tsp::solve_tsp(points, config.tsp);
+    });
+    const auto per_solve = [&](const char* name, std::uint64_t before) {
+      return static_cast<std::int64_t>((counter(name) - before) / repeats);
+    };
+    timed.counter("or_opt_moves", per_solve("tsp.or_opt.moves", moves_before))
+        .counter("certify_rows",
+                 per_solve("tsp.or_opt.certify_rows", rows_before))
+        .counter("stops", static_cast<std::int64_t>(points.size() - 1))
+        .metric("tour_len", bc::tsp::tour_length(points, tour));
+  }
+  reporter.write(out_dir, threads);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -206,6 +247,7 @@ int main(int argc, char** argv) {
   bc::bench::define_obs_flags(flags);
   if (!flags.parse(argc, argv, std::cerr)) return 2;
   if (flags.help_requested()) return 0;
+  bc::bench::ensure_out_dir(flags.get_string("out-dir"));
   bc::bench::ObsControl obs(flags);
 
   const auto threads = static_cast<std::size_t>(flags.get_int("threads"));
@@ -218,5 +260,6 @@ int main(int argc, char** argv) {
   bench_greedy_cover(out_dir, repeats, threads);
   bench_bc_opt_relocate(out_dir, repeats, threads);
   bench_tsp_improve(out_dir, repeats, threads);
+  bench_tsp_solve(out_dir, repeats, threads);
   return 0;
 }

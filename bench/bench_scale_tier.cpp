@@ -121,6 +121,7 @@ int main(int argc, char** argv) {
   bc::bench::define_obs_flags(flags);
   if (!flags.parse(argc, argv, std::cerr)) return 2;
   if (flags.help_requested()) return 0;
+  bc::bench::ensure_out_dir(flags.get_string("out-dir"));
   bc::bench::ObsControl obs(flags);
 
   const auto threads = static_cast<std::size_t>(flags.get_int("threads"));

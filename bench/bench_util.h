@@ -8,9 +8,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <iostream>
 #include <optional>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -38,6 +40,19 @@ inline void define_obs_flags(support::CliFlags& flags) {
       "trace-clock", "steady",
       "trace timestamp source: steady (wall time) or virtual (logical "
       "ticks; byte-stable across runs and thread counts)");
+}
+
+// Creates the report directory (and its parents) right after flag
+// parsing, so a path that cannot be made fails before any timed work
+// instead of after it. Prints the path and exits 2 on error.
+inline void ensure_out_dir(const std::string& dir) {
+  std::error_code error;
+  std::filesystem::create_directories(dir, error);
+  if (error) {
+    std::cerr << "cannot create --out-dir '" << dir
+              << "': " << error.message() << "\n";
+    std::exit(2);
+  }
 }
 
 // Honours --trace-out/--metrics-out/--trace-clock for the lifetime of the

@@ -9,7 +9,9 @@
 #define BUNDLECHARGE_TSP_IMPROVE_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
+#include <vector>
 
 #include "support/deadline.h"
 #include "tsp/distance_table.h"
@@ -77,6 +79,29 @@ double or_opt(std::span<const geometry::Point2> points, Tour& order,
 double improve_tour(std::span<const geometry::Point2> points, Tour& order,
                     const ImproveOptions& options = ImproveOptions{},
                     support::BudgetMeter* meter = nullptr);
+
+// Between improve_tour and solve_tsp, which improves five starting tours
+// over one table and builds their move-proposal lists once.
+namespace detail {
+
+// The k nearest cities (k from options.neighbors) of each of the table's
+// first n cities, by city id: row c lists c's, distance-ascending. Empty
+// when n < 4 or n > table.size(), or when the lists would depend on how
+// cities are numbered: a squared distance that ties inside a city's k + 1
+// nearest or with its (k + 1)-th. An improver call without lists numbers
+// the cities by their tour positions at its start and ranks such ties by
+// that number.
+std::vector<std::uint32_t> shared_neighbor_lists(
+    const DistanceTable& table, std::size_t n, const ImproveOptions& options);
+
+// improve_tour with `lists` from shared_neighbor_lists(table, order.size(),
+// options); when they are empty each 2-opt and Or-opt call builds its own.
+double improve_tour(const DistanceTable& table, Tour& order,
+                    const ImproveOptions& options,
+                    support::BudgetMeter* meter,
+                    std::span<const std::uint32_t> lists);
+
+}  // namespace detail
 
 }  // namespace bc::tsp
 

@@ -1,6 +1,8 @@
 #include "tsp/solver.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <vector>
 
 #include "support/require.h"
 #include "tsp/construct.h"
@@ -33,8 +35,12 @@ Tour solve_tsp(const DistanceTable& table, const SolverOptions& options,
     if (exact.has_value()) return std::move(*exact);
   }
 
+  // One set of move-proposal lists for every local search below.
+  const std::vector<std::uint32_t> lists =
+      detail::shared_neighbor_lists(table, n, options.improve);
   Tour best = greedy_edge_tour(table);
-  improve_tour(table, best, options.improve, metered ? meter : nullptr);
+  detail::improve_tour(table, best, options.improve,
+                       metered ? meter : nullptr, lists);
   double best_len = tour_length(table, best);
 
   const std::size_t starts = std::max<std::size_t>(1, options.nn_starts);
@@ -42,8 +48,8 @@ Tour solve_tsp(const DistanceTable& table, const SolverOptions& options,
     if (metered && !meter->check()) break;
     const auto start = static_cast<std::uint32_t>((s * n) / starts);
     Tour candidate = nearest_neighbor_tour(table, start);
-    improve_tour(table, candidate, options.improve,
-                 metered ? meter : nullptr);
+    detail::improve_tour(table, candidate, options.improve,
+                         metered ? meter : nullptr, lists);
     const double len = tour_length(table, candidate);
     if (len < best_len) {
       best_len = len;

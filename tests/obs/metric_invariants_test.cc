@@ -172,6 +172,43 @@ TEST(MetricInvariantsTest, TwoOptCounterConsistentWithReference) {
       << "no moves were applied, so the gain histogram must stay empty";
 }
 
+TEST(MetricInvariantsTest, OrOptCertificationScansAboutOneSweepOfRows) {
+  // An Or-opt certification row is scanned in full only when its window
+  // changed since it last found nothing; otherwise the edges logged since
+  // settle it. So an improve_tour scans about one sweep's 3n rows in full
+  // over all its certification sweeps (without the records: 2.3-3.4 x 3n)
+  // and settles the rest from records. BC's stops at paper density:
+  tour::PlannerConfig config = core::icdcs2019_simulation_profile().planner;
+  config.bundle_radius = 60.0;
+  const net::Deployment deployment = fixtures::paper_deployment(1000, 6300);
+  std::vector<Point2> points{deployment.depot()};
+  for (const auto& stop : tour::plan_bc(deployment, config).stops) {
+    points.push_back(stop.position);
+  }
+  const std::size_t n = points.size();
+  ASSERT_GT(n, 250u);
+  ASSERT_LT(n, 300u);
+  const tsp::DistanceTable table(points, nullptr);
+  std::vector<tsp::Tour> starts{tsp::greedy_edge_tour(table)};
+  for (std::size_t s = 0; s < 4; ++s) {
+    const auto start = static_cast<std::uint32_t>((s * n) / 4);
+    starts.push_back(tsp::nearest_neighbor_tour(table, start));
+  }
+  for (tsp::Tour& tour : starts) {
+    MetricsRegistry registry;
+    ScopedMetricsRegistry scope(registry);
+    tsp::improve_tour(table, tour);
+    const MetricsSnapshot snap = registry.snapshot();
+    const std::uint64_t rows = snap.counter("tsp.or_opt.certify_rows");
+    const std::uint64_t memo = snap.counter("tsp.or_opt.certify_memo_rows");
+    const std::uint64_t sweeps = snap.counter("tsp.or_opt.certify_sweeps");
+    EXPECT_LE(2 * rows, 3 * (3 * n)) << "rows=" << rows << " n=" << n;
+    EXPECT_GT(memo, rows) << "n=" << n;
+    // A sweep visits each of its at most 3n - 6 rows once.
+    EXPECT_LE(rows + memo, sweeps * 3 * n) << "n=" << n;
+  }
+}
+
 TEST(MetricInvariantsTest, ReferenceMovesMatchItsOwnGainAccounting) {
   // The reference improver flushes one counter per accepted move; on a
   // fresh NN tour that count must be positive exactly when gain is.

@@ -34,21 +34,16 @@ PlannerConfig paper_config(double radius) {
 }
 
 TEST(BcOptDifferentialTest, MatchesTheUnprunedSweepOnPaperFields) {
-  // n = 1000 skips r = 15 and 30 m, whose 540-800 stop tours take seconds
-  // to order.
   struct Field {
     std::size_t n;
     std::uint64_t seed;
-    double min_radius;
   };
-  constexpr Field kFields[] = {
-      {50, 31, 15.0}, {120, 32, 15.0}, {300, 33, 15.0}, {1000, 34, 60.0}};
+  constexpr Field kFields[] = {{50, 31}, {120, 32}, {300, 33}, {1000, 34}};
   std::uint64_t calls = 0;
   std::uint64_t reference_calls = 0;
   for (const Field& f : kFields) {
     const net::Deployment d = paper_deployment(f.n, f.seed);
     for (const double r : {15.0, 30.0, 60.0, 100.0}) {
-      if (r < f.min_radius) continue;
       const auto counts = expect_matches_reference(d, paper_config(r),
                                                    run_label(f.n, f.seed, r));
       calls += counts.anchor_calls;

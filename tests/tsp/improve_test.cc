@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "oracles/improve_reference.h"
+#include "support/require.h"
 #include "support/rng.h"
 #include "tsp/construct.h"
 
@@ -99,6 +100,15 @@ TEST(ImproveTourTest, RespectsMaxPasses) {
   options.max_passes = 1;
   improve_tour(pts, tour, options);  // must terminate quickly and validly
   EXPECT_TRUE(is_valid_tour(tour, pts.size()));
+}
+
+TEST(ImproveTourTest, RejectsATourLongerThanTheTable) {
+  // improve_tour builds neighbour lists over the tour's cities before it
+  // searches; a tour with cities past the table must be refused, not read.
+  const auto pts = random_points(6, 41);
+  const DistanceTable table(std::span<const Point2>(pts).first(5), nullptr);
+  Tour tour = nearest_neighbor_tour(pts, 0);
+  EXPECT_THROW(improve_tour(table, tour), support::PreconditionError);
 }
 
 // Differential corpus: on every pinned instance the neighbour-list
